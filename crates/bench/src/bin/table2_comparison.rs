@@ -27,7 +27,6 @@ use yoso_arch::{DesignPoint, Genotype, NetworkSkeleton};
 use yoso_bench::{run_main, write_csv, Args, Table};
 use yoso_core::error::Error;
 use yoso_core::evaluation::{calibrate_constraints, FastEvaluator};
-use yoso_core::parallel_map;
 use yoso_core::reward::RewardConfig;
 use yoso_core::search::SearchConfig;
 use yoso_core::session::{SearchSession, Strategy};
@@ -35,6 +34,7 @@ use yoso_core::twostage::{best_hw_for, reference_models, OptimizationTarget};
 use yoso_dataset::{SynthCifar, SynthCifarConfig};
 use yoso_hypernet::HyperTrainConfig;
 use yoso_nn::{CellNetwork, TrainConfig};
+use yoso_pool::parallel_map;
 
 struct Row {
     name: String,

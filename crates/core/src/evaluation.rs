@@ -86,9 +86,13 @@ pub trait Evaluator: Send + Sync {
 
     /// Requests a scoring precision for subsequent accuracy queries.
     ///
-    /// Default: ignored — evaluators that only implement f32 scoring
-    /// silently keep using it. [`FastEvaluator`] honours
-    /// [`ScoringPrecision::Int8`].
+    /// Default: ignored — evaluators that only implement f32 scoring keep
+    /// using it, and a session built with another precision
+    /// ([`SearchSessionBuilder::scoring_precision`]) is rejected because
+    /// [`scoring_precision`](Self::scoring_precision) does not change.
+    /// [`FastEvaluator`] honours [`ScoringPrecision::Int8`].
+    ///
+    /// [`SearchSessionBuilder::scoring_precision`]: crate::session::SearchSessionBuilder::scoring_precision
     fn set_scoring_precision(&self, _precision: ScoringPrecision) {}
 
     /// The precision accuracy queries currently run at.

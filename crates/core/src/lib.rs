@@ -57,7 +57,6 @@ pub mod archive;
 pub mod checkpoint;
 pub mod error;
 pub mod evaluation;
-pub mod parallel;
 pub mod pipeline;
 pub mod reward;
 pub mod search;
@@ -74,7 +73,6 @@ pub use evaluation::{
     calibrate_constraints, AccurateEvaluator, Evaluation, Evaluator, FastEvaluator,
     ScoringPrecision, SurrogateEvaluator, SurrogateKind,
 };
-pub use parallel::parallel_map;
 pub use pipeline::{finalize, run_search_and_finalize, Finalist, YosoResult};
 pub use reward::{Constraints, RewardConfig, RewardForm};
 pub use search::{SearchConfig, SearchConfigBuilder, SearchOutcome, SearchRecord};

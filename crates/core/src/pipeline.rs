@@ -70,21 +70,20 @@ pub fn finalize(
     reward_cfg: &RewardConfig,
 ) -> Result<Vec<Finalist>, Error> {
     let top: Vec<SearchRecord> = outcome.top_n(top_n);
-    let evaluated: Vec<Result<Finalist, Error>> =
-        crate::parallel::parallel_map(top.len(), 0, |i| {
-            let rec = &top[i];
-            let accurate_eval = accurate.evaluate(&rec.point)?;
-            Ok(Finalist {
-                point: rec.point,
-                fast_eval: rec.eval,
-                accurate_eval,
-                accurate_reward: reward_cfg.reward(
-                    accurate_eval.accuracy,
-                    accurate_eval.latency_ms,
-                    accurate_eval.energy_mj,
-                ),
-            })
-        });
+    let evaluated: Vec<Result<Finalist, Error>> = yoso_pool::parallel_map(top.len(), 0, |i| {
+        let rec = &top[i];
+        let accurate_eval = accurate.evaluate(&rec.point)?;
+        Ok(Finalist {
+            point: rec.point,
+            fast_eval: rec.eval,
+            accurate_eval,
+            accurate_reward: reward_cfg.reward(
+                accurate_eval.accuracy,
+                accurate_eval.latency_ms,
+                accurate_eval.energy_mj,
+            ),
+        })
+    });
     let mut finalists = evaluated.into_iter().collect::<Result<Vec<_>, _>>()?;
     finalists.sort_by(|a, b| b.accurate_reward.total_cmp(&a.accurate_reward));
     Ok(finalists)

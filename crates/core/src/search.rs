@@ -1,9 +1,7 @@
 //! Design-space search: configuration, history bookkeeping, top-N
-//! selection and Pareto-front extraction. The search loops themselves
-//! live behind [`crate::session::SearchSession`], the single entry point
-//! (the historical `rl_search`/`evolution_search`/`random_search` free
-//! functions were deprecated in favor of the session builder and have
-//! been removed).
+//! selection and Pareto-front extraction. The search loop itself lives
+//! behind [`crate::session::SearchSession`], the single entry point for
+//! every strategy.
 
 use crate::archive::{FeasibilityCaps, Objective, ParetoArchive};
 use crate::evaluation::Evaluation;

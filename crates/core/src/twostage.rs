@@ -221,7 +221,7 @@ pub fn best_hw_for(
 ) -> BestHw {
     let plan = skeleton.compile(genotype);
     let configs: Vec<HwConfig> = HwConfig::enumerate_all().collect();
-    let candidates = crate::parallel::parallel_map(configs.len(), 0, |i| {
+    let candidates = yoso_pool::parallel_map(configs.len(), 0, |i| {
         let hw = configs[i];
         let report = sim.simulate_plan(&plan, &hw);
         let feasible = constraints.satisfied(report.latency_ms, report.energy_mj);

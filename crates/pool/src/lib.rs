@@ -620,6 +620,22 @@ mod tests {
         assert_eq!(one, eight);
         let other_seed = parallel_map_seeded(64, 8, 43, draw);
         assert_ne!(one, other_seed);
+
+        // Every value drawn from the per-item RNGs, for edge seeds and
+        // batch sizes (empty and single-item maps included).
+        let draws =
+            |i: usize, rng: &mut StdRng| (i, rng.random::<u64>(), rng.random_range(0.0f64..1.0));
+        for seed in [0, 7, u64::MAX] {
+            for n in [0, 1, 13] {
+                let serial = parallel_map_seeded(n, 1, seed, draws);
+                assert_eq!(serial.len(), n);
+                assert_eq!(parallel_map_seeded(n, 2, seed, draws), serial);
+                assert_eq!(parallel_map_seeded(n, 8, seed, draws), serial);
+            }
+        }
+        assert_eq!(derive_seed(1, 2), derive_seed(1, 2));
+        assert_ne!(derive_seed(1, 2), derive_seed(1, 3));
+        assert_ne!(derive_seed(1, 2), derive_seed(2, 2));
     }
 
     #[test]

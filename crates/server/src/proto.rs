@@ -20,9 +20,9 @@
 //! per-entry scalar fields) immediately before `job_done`, and is
 //! replayed by `subscribe`.
 //!
-//! A [`JobSpec`] converts losslessly to and from a
-//! [`SearchSessionBuilder`]: see [`JobSpec::apply`] and
-//! [`JobSpec::from_builder`].
+//! A [`JobSpec`] is applied to a [`SearchSessionBuilder`] with
+//! [`JobSpec::apply`], and round-trips losslessly through its own
+//! standalone frame form ([`JobSpec::to_json`] / [`JobSpec::parse`]).
 
 use yoso_core::evaluation::ScoringPrecision;
 use yoso_core::reward::{Constraints, RewardConfig, RewardForm};
@@ -245,33 +245,6 @@ impl JobSpec {
             b = b.fault_budget(f);
         }
         b
-    }
-
-    /// Recovers a spec from a configured builder, the inverse of
-    /// [`apply`](Self::apply): `JobSpec::from_builder(t,
-    /// spec.apply(b))` equals `spec` whenever `spec.tenant == t`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ErrorCode::InvalidSpec`] when the builder has no
-    /// reward configured (a reward is mandatory on the wire).
-    pub fn from_builder(
-        tenant: impl Into<String>,
-        builder: &SearchSessionBuilder<'_>,
-    ) -> Result<JobSpec, ProtoError> {
-        let reward = builder
-            .configured_reward()
-            .copied()
-            .ok_or_else(|| ProtoError::invalid("builder has no reward configured"))?;
-        Ok(JobSpec {
-            tenant: tenant.into(),
-            strategy: builder.configured_strategy(),
-            config: builder.configured_config().clone(),
-            reward,
-            scoring: builder.configured_scoring_precision().unwrap_or_default(),
-            fault_budget: builder.configured_fault_budget(),
-            checkpoint_every: builder.configured_checkpoint_every(),
-        })
     }
 
     /// Flattens the spec's fields into a frame under construction.
@@ -896,7 +869,6 @@ fn get_bool(ev: &Event, name: &str) -> Result<bool, ProtoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use yoso_core::session::SearchSession;
 
     fn sample_spec() -> JobSpec {
         JobSpec {
@@ -1104,21 +1076,10 @@ mod tests {
     }
 
     #[test]
-    fn spec_round_trips_through_builder() {
+    fn spec_round_trips_through_its_frame() {
         let spec = sample_spec();
-        let builder = spec.apply(SearchSession::builder());
-        let back = JobSpec::from_builder("acme", &builder).unwrap();
-        assert_eq!(back, spec);
-
-        // And through the standalone frame form.
         let line = spec.to_json();
         assert_eq!(JobSpec::parse(&line).unwrap(), spec);
-    }
-
-    #[test]
-    fn from_builder_requires_a_reward() {
-        let err = JobSpec::from_builder("t", &SearchSession::builder()).unwrap_err();
-        assert_eq!(err.code, ErrorCode::InvalidSpec);
     }
 
     #[test]

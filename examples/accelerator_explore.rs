@@ -7,7 +7,8 @@
 
 use yoso::accel::Simulator;
 use yoso::arch::{Dataflow, HwConfig, NetworkSkeleton, PE_MENU};
-use yoso::core::{best_hw_for, parallel_map, reference_models, Constraints, OptimizationTarget};
+use yoso::core::{best_hw_for, reference_models, Constraints, OptimizationTarget};
+use yoso::pool::parallel_map;
 
 fn main() {
     let skeleton = NetworkSkeleton::paper_default();

@@ -5,19 +5,22 @@
 //!   im2col panel shapes a HyperNet training step actually produces
 //!   (same thread count for both — the win is per-core);
 //! * the runtime-dispatched SIMD microkernel vs the forced-scalar tier;
-//! * multi-threaded NC-panel SGEMM vs one matmul thread (gated: only
-//!   asserted on multi-core machines);
+//! * multi-threaded NC-panel SGEMM vs one matmul thread, as parallel
+//!   efficiency (speedup ÷ threads used; only asserted when more than
+//!   one thread runs);
 //! * a full conv2d forward+backward training step under both kernels;
 //! * the u8xi8 integer GEMM vs f32 SGEMM on the same shapes;
-//! * end-to-end HyperNet candidate scoring, f32 vs int8;
+//! * end-to-end HyperNet candidate scoring: f32 on the tape-free walk,
+//!   f32 on the training tape, and int8, each with its minor page faults
+//!   per candidate;
 //! * incremental GP Cholesky appends (chunks of 50 up to n = 2000) vs a
 //!   frozen-hyperparameter full refactorization after every chunk;
 //! * the inducing-point sparse GP vs the exact GP, fit + batch predict
 //!   at n = 4000 (past the exact model's usual training cap).
 //!
-//! Targets: >= 2x on the GEMM/conv shapes, >= 2x multi-core scaling
-//! (when cores > 1), >= 1.5x int8 scoring, >= 5x on the GP refit,
-//! >= 5x on the sparse-vs-exact fit+predict.
+//! Targets: >= 2x on the GEMM/conv shapes, >= 0.7 parallel efficiency
+//! (when more than one thread runs), >= 1.5x int8 over f32 scoring,
+//! >= 5x on the GP refit, >= 5x on the sparse-vs-exact fit+predict.
 //!
 //! Usage: `cargo run --release -p yoso-bench --bin bench_kernels --
 //!   [--iters 40] [--seed 0] [--out BENCH_kernels.json]`
@@ -27,14 +30,15 @@ use yoso_bench::{bench_meta_json, run_main, Args};
 use yoso_core::error::Error;
 use yoso_dataset::{SynthCifar, SynthCifarConfig};
 use yoso_hypernet::HyperNet;
+use yoso_nn::{evaluate_with, forward_network};
 use yoso_predictor::metrics::spearman;
 use yoso_predictor::{GaussianProcess, Regressor, SparseGaussianProcess};
 use yoso_tensor::conv::{conv2d_backward_scratch, conv2d_forward_scratch};
 use yoso_tensor::matmul::sgemm;
 use yoso_tensor::quant::{gemm_q, quantize_activations};
 use yoso_tensor::{
-    quant_tier, set_kernel, set_simd_tier, simd_tier, ConvGeom, KernelKind, QuantWeights, Scratch,
-    SimdTier, Tensor,
+    quant_tier, set_kernel, set_simd_tier, simd_tier, ConvGeom, Graph, KernelKind, QuantWeights,
+    Scratch, SimdTier, Tensor,
 };
 
 use rand::rngs::StdRng;
@@ -44,6 +48,19 @@ fn time_ms(f: impl FnOnce()) -> f64 {
     let t = Instant::now();
     f();
     t.elapsed().as_secs_f64() * 1e3
+}
+
+/// Minor page faults of this process so far (`minflt`, field 10 of
+/// `/proc/self/stat`); 0 where procfs is unavailable.
+fn minor_faults() -> u64 {
+    std::fs::read_to_string("/proc/self/stat")
+        .ok()
+        .and_then(|stat| {
+            // Fields after the parenthesized command name start at field 3.
+            let rest = &stat[stat.rfind(')')? + 1..];
+            rest.split_whitespace().nth(7)?.parse().ok()
+        })
+        .unwrap_or(0)
 }
 
 /// Best-of-three timing of `iters` repetitions of `f` — the minimum is
@@ -157,8 +174,9 @@ fn real_main() -> Result<(), Error> {
     // Multi-threaded NC-panel scaling: one shape large enough to expose
     // several row-block x panel tasks, packed kernel, 1 matmul thread vs
     // all cores. The task grid is fixed so the result is bit-exact at
-    // any thread count; only the 2x scaling claim is core-gated.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // any thread count. The gate is parallel efficiency, speedup ÷
+    // threads used >= 0.7, so it asks the same of 2 cores as of 64; it
+    // only applies when more than one thread runs.
     let (mm, mk, mn) = (256usize, 256usize, 2048usize);
     let a: Vec<f32> = (0..mm * mk).map(|_| rng.random_range(-1.0..1.0)).collect();
     let b: Vec<f32> = (0..mk * mn).map(|_| rng.random_range(-1.0..1.0)).collect();
@@ -170,15 +188,17 @@ fn real_main() -> Result<(), Error> {
         std::hint::black_box(&c);
     });
     yoso_tensor::set_matmul_threads(0); // all cores
+    let mt_threads = yoso_tensor::matmul_threads();
     let mt_parallel_ms = bench_ms(mt_iters, || {
         sgemm(mm, mk, mn, &a, &b, &mut c);
         std::hint::black_box(&c);
     });
     yoso_tensor::set_matmul_threads(1);
     let mt_speedup = mt_serial_ms / mt_parallel_ms;
+    let mt_efficiency = mt_speedup / mt_threads as f64;
     println!(
-        "gemm-mt {mm}x{mk}x{mn}: 1 thread {mt_serial_ms:.2} ms, {cores} cores {mt_parallel_ms:.2} ms ({mt_speedup:.2}x{})",
-        if cores > 1 { ", target >= 2x" } else { ", single core: scaling not asserted" }
+        "gemm-mt {mm}x{mk}x{mn}: 1 thread {mt_serial_ms:.2} ms, {mt_threads} threads {mt_parallel_ms:.2} ms ({mt_speedup:.2}x, efficiency {mt_efficiency:.2}{})",
+        if mt_threads > 1 { ", target >= 0.7" } else { ", one thread: not asserted" }
     );
 
     // Full conv training step (forward + backward) on a mid-network
@@ -338,9 +358,13 @@ fn real_main() -> Result<(), Error> {
     println!("  geometric-mean speedup: {int8_gemm_geomean:.2}x");
 
     // End-to-end candidate scoring: the HyperNet validation pass in f32
-    // (tape-based forward) vs int8 (quantize inherited weights once,
-    // integer convs, f32 everything else). This is the quantity the
-    // search loop actually pays per candidate.
+    // on the tape-free walk (`evaluate_genotype`, what the search runs),
+    // in f32 on the training tape (a `Graph` + `forward_network` per
+    // batch, the path scoring took before the walk), and in int8
+    // (quantize inherited weights once, integer convs, f32 everything
+    // else). This is the quantity the search loop actually pays per
+    // candidate; minor page faults per candidate show the allocation
+    // churn of each side.
     let sk = yoso_arch::NetworkSkeleton::tiny();
     let data = SynthCifar::generate(&SynthCifarConfig::tiny());
     let hyper = HyperNet::new(sk, seed);
@@ -349,51 +373,66 @@ fn real_main() -> Result<(), Error> {
         .map(|_| yoso_arch::Genotype::random(&mut rng2))
         .collect();
     let score_iters = 3;
+    let score_rounds = 7;
     // Batch 128 — what `FastEvaluator` actually scores with.
     let score_batch = 128;
-    // The two sides are timed in *alternating* rounds rather than two
+    let tape_score = |g: &yoso_arch::Genotype| {
+        let plan = hyper.skeleton().compile(g);
+        let provider = hyper.provider(&plan);
+        evaluate_with(&data.val, score_batch, |images| {
+            let mut graph = Graph::new();
+            let logits = forward_network(&plan, &mut graph, hyper.store(), &provider, images);
+            graph.value(logits).clone()
+        })
+    };
+    let sides: [&dyn Fn(&yoso_arch::Genotype) -> f64; 3] = [
+        &|g| hyper.evaluate_genotype(g, &data.val, score_batch),
+        &tape_score,
+        &|g| hyper.evaluate_genotype_int8(g, &data.val, score_batch),
+    ];
+    // The sides are timed in *alternating* rounds rather than
     // back-to-back `bench_ms` windows: on a shared machine a load spike
-    // landing in one window would skew the ratio in either direction,
-    // while interleaving gives both sides the same shot at a quiet
-    // slot. The speedup is the ratio of the per-side *minima* — each
-    // min converges to that side's quiet-slot floor, so additive noise
-    // is stripped from both sides instead of polluting the ratio.
-    for g in &genos {
-        std::hint::black_box(hyper.evaluate_genotype(g, &data.val, score_batch));
-        std::hint::black_box(hyper.evaluate_genotype_int8(g, &data.val, score_batch));
+    // landing in one window would skew the ratios in either direction,
+    // while interleaving gives every side the same shot at a quiet
+    // slot. Each ratio is one of per-side *minima* — each min converges
+    // to that side's quiet-slot floor, so additive noise is stripped
+    // from both sides instead of polluting the ratio.
+    for score in sides {
+        for g in &genos {
+            std::hint::black_box(score(g));
+        }
     }
-    let (mut f32_best, mut int8_best) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..7 {
-        f32_best = f32_best.min(time_ms(|| {
-            for _ in 0..score_iters {
-                for g in &genos {
-                    std::hint::black_box(hyper.evaluate_genotype(g, &data.val, score_batch));
+    let mut best = [f64::INFINITY; 3];
+    let mut faults = [0u64; 3];
+    for _ in 0..score_rounds {
+        for (side, score) in sides.iter().enumerate() {
+            let before = minor_faults();
+            best[side] = best[side].min(time_ms(|| {
+                for _ in 0..score_iters {
+                    for g in &genos {
+                        std::hint::black_box(score(g));
+                    }
                 }
-            }
-        }));
-        int8_best = int8_best.min(time_ms(|| {
-            for _ in 0..score_iters {
-                for g in &genos {
-                    std::hint::black_box(hyper.evaluate_genotype_int8(g, &data.val, score_batch));
-                }
-            }
-        }));
+            }));
+            faults[side] += minor_faults() - before;
+        }
     }
     let per = (score_iters * genos.len()) as f64;
-    let f32_score_ms = f32_best / per;
-    let int8_score_ms = int8_best / per;
+    let [f32_score_ms, tape_score_ms, int8_score_ms] = best.map(|ms| ms / per);
+    let [f32_faults, tape_faults, int8_faults] =
+        faults.map(|f| f as f64 / (per * score_rounds as f64));
     let score_speedup = f32_score_ms / int8_score_ms;
     println!(
-        "int8 scoring: f32 {f32_score_ms:.1} ms/candidate, int8 {int8_score_ms:.1} ms/candidate ({score_speedup:.2}x, target >= 1.5x)"
+        "candidate scoring: f32 walk {f32_score_ms:.1} ms ({f32_faults:.0} faults), f32 tape {tape_score_ms:.1} ms ({tape_faults:.0} faults), int8 {int8_score_ms:.1} ms ({int8_faults:.0} faults) per candidate; int8 vs f32 walk {score_speedup:.2}x, target >= 1.5x"
     );
 
     let meta = bench_meta_json(2);
     let json = format!(
-        "{{\n  \"bench\": \"compute kernels\",\n  {meta},\n  \"gemm\": {{\n    \"threads\": 1,\n    \"iters\": {iters},\n    \"shapes\": [\n{}\n    ],\n    \"geomean_speedup\": {gemm_geomean:.2}\n  }},\n  \"simd\": {{\n    \"tier\": \"{}\",\n    \"shapes\": [\n{}\n    ],\n    \"geomean_vs_scalar\": {simd_geomean:.2}\n  }},\n  \"gemm_mt\": {{\n    \"m\": {mm}, \"k\": {mk}, \"n\": {mn},\n    \"serial_ms\": {mt_serial_ms:.3},\n    \"parallel_ms\": {mt_parallel_ms:.3},\n    \"speedup\": {mt_speedup:.2},\n    \"asserted\": {}\n  }},\n  \"conv2d_step\": {{\n    \"input\": [{cn}, {cin}, {chw}, {chw}],\n    \"cout\": {cout},\n    \"kernel\": {ck},\n    \"reference_ms\": {conv_ref_ms:.2},\n    \"packed_ms\": {conv_packed_ms:.2},\n    \"speedup\": {conv_speedup:.2}\n  }},\n  \"gp_incremental\": {{\n    \"initial\": {n0},\n    \"final\": {n_final},\n    \"chunk\": {chunk},\n    \"dims\": {dims},\n    \"refit_per_chunk_ms\": {refit_ms:.1},\n    \"incremental_ms\": {incremental_ms:.1},\n    \"speedup\": {gp_speedup:.2},\n    \"max_mean_abs_diff\": {max_diff:.3e}\n  }},\n  \"gp_sparse\": {{\n    \"n\": {sp_n},\n    \"dims\": {dims},\n    \"inducing\": {},\n    \"exact_ms\": {sp_exact_ms:.1},\n    \"sparse_ms\": {sp_sparse_ms:.1},\n    \"speedup\": {sp_speedup:.2},\n    \"spearman\": {sp_spearman:.3}\n  }},\n  \"int8_gemm\": {{\n    \"tier\": \"{}\",\n    \"shapes\": [\n{}\n    ],\n    \"geomean_speedup\": {int8_gemm_geomean:.2}\n  }},\n  \"int8_scoring\": {{\n    \"candidates\": {},\n    \"f32_ms_per_candidate\": {f32_score_ms:.2},\n    \"int8_ms_per_candidate\": {int8_score_ms:.2},\n    \"speedup\": {score_speedup:.2}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"compute kernels\",\n  {meta},\n  \"gemm\": {{\n    \"threads\": 1,\n    \"iters\": {iters},\n    \"shapes\": [\n{}\n    ],\n    \"geomean_speedup\": {gemm_geomean:.2}\n  }},\n  \"simd\": {{\n    \"tier\": \"{}\",\n    \"shapes\": [\n{}\n    ],\n    \"geomean_vs_scalar\": {simd_geomean:.2}\n  }},\n  \"gemm_mt\": {{\n    \"m\": {mm}, \"k\": {mk}, \"n\": {mn},\n    \"serial_ms\": {mt_serial_ms:.3},\n    \"parallel_ms\": {mt_parallel_ms:.3},\n    \"threads\": {mt_threads},\n    \"speedup\": {mt_speedup:.2},\n    \"efficiency\": {mt_efficiency:.2},\n    \"asserted\": {}\n  }},\n  \"conv2d_step\": {{\n    \"input\": [{cn}, {cin}, {chw}, {chw}],\n    \"cout\": {cout},\n    \"kernel\": {ck},\n    \"reference_ms\": {conv_ref_ms:.2},\n    \"packed_ms\": {conv_packed_ms:.2},\n    \"speedup\": {conv_speedup:.2}\n  }},\n  \"gp_incremental\": {{\n    \"initial\": {n0},\n    \"final\": {n_final},\n    \"chunk\": {chunk},\n    \"dims\": {dims},\n    \"refit_per_chunk_ms\": {refit_ms:.1},\n    \"incremental_ms\": {incremental_ms:.1},\n    \"speedup\": {gp_speedup:.2},\n    \"max_mean_abs_diff\": {max_diff:.3e}\n  }},\n  \"gp_sparse\": {{\n    \"n\": {sp_n},\n    \"dims\": {dims},\n    \"inducing\": {},\n    \"exact_ms\": {sp_exact_ms:.1},\n    \"sparse_ms\": {sp_sparse_ms:.1},\n    \"speedup\": {sp_speedup:.2},\n    \"spearman\": {sp_spearman:.3}\n  }},\n  \"int8_gemm\": {{\n    \"tier\": \"{}\",\n    \"shapes\": [\n{}\n    ],\n    \"geomean_speedup\": {int8_gemm_geomean:.2}\n  }},\n  \"int8_scoring\": {{\n    \"candidates\": {},\n    \"f32_ms_per_candidate\": {f32_score_ms:.2},\n    \"f32_tape_ms_per_candidate\": {tape_score_ms:.2},\n    \"int8_ms_per_candidate\": {int8_score_ms:.2},\n    \"f32_minor_faults_per_candidate\": {f32_faults:.0},\n    \"f32_tape_minor_faults_per_candidate\": {tape_faults:.0},\n    \"int8_minor_faults_per_candidate\": {int8_faults:.0},\n    \"speedup\": {score_speedup:.2}\n  }}\n}}\n",
         shape_rows.join(",\n"),
         simd_tier(),
         simd_rows.join(",\n"),
-        cores > 1,
+        mt_threads > 1,
         sp_sparse.inducing_len(),
         quant_tier(),
         q_rows.join(",\n"),
@@ -426,10 +465,10 @@ fn real_main() -> Result<(), Error> {
         sp_spearman >= 0.9,
         "sparse GP rank agreement {sp_spearman:.3} below 0.9 at n={sp_n}"
     );
-    if cores > 1 {
+    if mt_threads > 1 {
         assert!(
-            mt_speedup >= 2.0,
-            "multi-threaded gemm speedup {mt_speedup:.2}x below the 2x target on {cores} cores"
+            mt_efficiency >= 0.7,
+            "multi-threaded gemm efficiency {mt_efficiency:.2} ({mt_speedup:.2}x on {mt_threads} threads) below the 0.7 target"
         );
     }
     assert!(

@@ -18,10 +18,12 @@ use yoso_predictor::perf::{collect_samples, PerfPredictor};
 
 /// Numeric precision of the accuracy pass of candidate scoring.
 ///
-/// [`Int8`](ScoringPrecision::Int8) runs the HyperNet validation pass on
-/// the tape-free int8 path (`yoso_nn::QuantizedNetwork`): candidate
-/// weights are quantized once per genotype and every batch is scored
-/// with integer GEMMs — faster, at the cost of conv quantization error.
+/// [`F32`](ScoringPrecision::F32) runs the HyperNet validation pass on
+/// the tape-free walk `yoso_nn::infer_network`, bit-identical to the
+/// training tape. [`Int8`](ScoringPrecision::Int8) runs it on the int8
+/// path (`yoso_nn::QuantizedNetwork`): candidate weights are quantized
+/// per validation batch and every batch is scored with integer GEMMs,
+/// at the cost of conv quantization error.
 /// The `quantized_scoring` integration test pins the rank correlation
 /// between the two precisions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -138,6 +140,43 @@ pub fn calibrate_constraints(
 /// Cached compiled-network summary: statistics + cell output arities.
 type StatsEntry = (yoso_arch::NetworkStats, (usize, usize));
 
+/// One validation batch's share of an accuracy: the batch's correct
+/// fraction and its size.
+type BatchScore = (f64, usize);
+
+/// The example-weighted mean of per-batch accuracies, summed in batch
+/// order. The one accuracy formula of [`FastEvaluator`]: per-point
+/// queries and the batched fan-out both end here, so they agree bit for
+/// bit.
+fn fold_batches(scores: impl Iterator<Item = BatchScore>) -> f64 {
+    let mut correct = 0.0;
+    let mut total = 0usize;
+    for (acc, len) in scores {
+        correct += acc * len as f64;
+        total += len;
+    }
+    correct / total.max(1) as f64
+}
+
+/// What one pool item of [`FastEvaluator`]'s batched scoring returns.
+enum BatchItem {
+    /// The point's accuracy was already cached; nothing was scored.
+    Cached(f64),
+    /// The point's score on one validation batch.
+    Scored(BatchScore),
+}
+
+impl BatchItem {
+    fn score(&self) -> BatchScore {
+        match self {
+            BatchItem::Scored(s) => *s,
+            // The cache is only written between maps, so a point's items
+            // are either all cached or all scored.
+            BatchItem::Cached(_) => unreachable!("cached and scored items of one point"),
+        }
+    }
+}
+
 /// The paper's fast evaluator: accuracy from the trained HyperNet
 /// (weight inheritance, single test run) and latency/energy from the
 /// Gaussian-process predictors.
@@ -242,68 +281,68 @@ impl FastEvaluator {
         &self.predictor
     }
 
+    /// The accuracy cache of one precision. The two precisions give
+    /// different numbers, so each has its own.
+    fn acc_cache(&self, precision: ScoringPrecision) -> &RwLock<HashMap<Genotype, f64>> {
+        match precision {
+            ScoringPrecision::F32 => &self.acc_cache,
+            ScoringPrecision::Int8 => &self.acc_cache_int8,
+        }
+    }
+
+    fn cached_accuracy(&self, genotype: &Genotype, precision: ScoringPrecision) -> Option<f64> {
+        self.acc_cache(precision).read().get(genotype).copied()
+    }
+
+    /// Per-point accuracy query: the cached value, or the fold of every
+    /// validation batch's [`score_batch`](Self::score_batch), scored
+    /// serially on the calling thread.
     fn accuracy_of(&self, genotype: &Genotype) -> f64 {
-        match self.scoring_precision() {
-            ScoringPrecision::F32 => self.accuracy_of_f32(genotype),
-            ScoringPrecision::Int8 => self.accuracy_of_int8(genotype),
-        }
-    }
-
-    fn accuracy_of_f32(&self, genotype: &Genotype) -> f64 {
-        if let Some(&a) = self.acc_cache.read().get(genotype) {
+        let precision = self.scoring_precision();
+        if let Some(a) = self.cached_accuracy(genotype, precision) {
             return a;
         }
-        let plan = self.hyper.skeleton().compile(genotype);
-        let provider = self.hyper.provider(&plan);
-        let acc = self.subset_accuracy(|images, labels| {
-            let mut g = yoso_tensor::Graph::new();
-            let logits =
-                yoso_nn::forward_network(&plan, &mut g, self.hyper.store(), &provider, images);
-            yoso_tensor::accuracy(g.value(logits), labels)
-        });
-        self.acc_cache.write().insert(*genotype, acc);
+        let acc =
+            fold_batches((0..self.val_batches()).map(|b| self.score_batch(genotype, precision, b)));
+        self.acc_cache(precision).write().insert(*genotype, acc);
         acc
     }
 
-    /// Int8 twin of [`accuracy_of_f32`](Self::accuracy_of_f32): the
-    /// candidate's inherited weights are quantized once into a
-    /// [`QuantizedNetwork`], then the exact same deterministic subset is
-    /// scored batch-by-batch through the integer conv path.
-    fn accuracy_of_int8(&self, genotype: &Genotype) -> f64 {
-        if let Some(&a) = self.acc_cache_int8.read().get(genotype) {
-            return a;
-        }
-        let plan = self.hyper.skeleton().compile(genotype);
-        let provider = self.hyper.provider(&plan);
-        let qnet = QuantizedNetwork::prepare(&plan, self.hyper.store(), &provider);
-        let acc = self.subset_accuracy(|images, labels| {
-            yoso_tensor::accuracy(&qnet.forward(&images), labels)
-        });
-        self.acc_cache_int8.write().insert(*genotype, acc);
-        acc
+    /// Size of the deterministic validation subset every accuracy query
+    /// scores: the first `eval_subset` examples.
+    fn subset_len(&self) -> usize {
+        self.data.val.len().min(self.eval_subset.max(1))
     }
 
-    /// Runs `batch_acc` over the deterministic validation subset (first
-    /// `eval_subset` examples in batches of `eval_batch`) and returns the
-    /// example-weighted mean accuracy. Shared by both precisions so they
+    /// Number of `eval_batch`-sized batches the subset splits into.
+    fn val_batches(&self) -> usize {
+        self.subset_len().div_ceil(self.eval_batch.max(1))
+    }
+
+    /// Scores `genotype` on validation batch `b` of the subset with its
+    /// inherited weights: f32 on the tape-free
+    /// [`infer_network`](yoso_nn::infer_network) walk, int8 through a
+    /// [`QuantizedNetwork`] prepared for this batch. Both precisions
     /// score exactly the same examples.
-    fn subset_accuracy(
+    fn score_batch(
         &self,
-        mut batch_acc: impl FnMut(yoso_tensor::Tensor, &[usize]) -> f64,
-    ) -> f64 {
-        let n = self.data.val.len().min(self.eval_subset.max(1));
-        let subset: Vec<usize> = (0..n).collect();
-        let mut correct = 0.0;
-        let mut total = 0usize;
-        let mut i = 0;
-        while i < subset.len() {
-            let end = (i + self.eval_batch).min(subset.len());
-            let (images, labels) = self.data.val.batch(&subset[i..end]);
-            correct += batch_acc(images, &labels) * labels.len() as f64;
-            total += labels.len();
-            i = end;
-        }
-        correct / total.max(1) as f64
+        genotype: &Genotype,
+        precision: ScoringPrecision,
+        b: usize,
+    ) -> BatchScore {
+        let bs = self.eval_batch.max(1);
+        let idx: Vec<usize> = (b * bs..((b + 1) * bs).min(self.subset_len())).collect();
+        let (images, labels) = self.data.val.batch(&idx);
+        let plan = self.hyper.skeleton().compile(genotype);
+        let provider = self.hyper.provider(&plan);
+        let store = self.hyper.store();
+        let logits = match precision {
+            ScoringPrecision::F32 => yoso_nn::infer_network(&plan, store, &provider, &images),
+            ScoringPrecision::Int8 => {
+                QuantizedNetwork::prepare(&plan, store, &provider).forward(&images)
+            }
+        };
+        (yoso_tensor::accuracy(&logits, &labels), labels.len())
     }
 
     /// Compiled network statistics + cell output arities, cached per
@@ -357,23 +396,48 @@ impl Evaluator for FastEvaluator {
         })
     }
 
-    /// Batched scoring: the per-point work (hypernet accuracy pass +
-    /// feature extraction) fans out over the supervised worker pool —
-    /// per-genotype caches keep repeated rollouts cheap and make the
-    /// result independent of thread count — then both GPs score the
-    /// whole batch in one cross-kernel pass each via
-    /// [`PerfPredictor::predict_batch_from_features`]. Bit-identical to
-    /// per-point [`evaluate`](Evaluator::evaluate).
+    /// Batched scoring. The HyperNet accuracy pass fans out over the
+    /// supervised worker pool as one map with one item per (point,
+    /// validation batch), so even a one-point batch keeps every core
+    /// busy. Item `(j, b)` returns point `j`'s cached accuracy if there
+    /// is one, else its score on validation batch `b`; each point's
+    /// items are then folded in batch order with the same arithmetic as
+    /// per-point [`evaluate`](Evaluator::evaluate), which fills the
+    /// cache. Cached points stay in the map, so chaos draws keyed on
+    /// item indices see the same items whatever the cache holds. The map
+    /// is issued from the calling thread and no item starts another.
+    /// Both GPs then score the whole batch in one cross-kernel pass each
+    /// via [`PerfPredictor::predict_batch_from_features`]. Bit-identical
+    /// to per-point `evaluate` at any thread count.
     fn evaluate_batch(&self, points: &[DesignPoint]) -> Result<Vec<Evaluation>, Error> {
-        let per_point: Vec<(f64, Vec<f64>)> = yoso_pool::parallel_map(points.len(), 0, |i| {
-            let p = &points[i];
-            let (stats, arities) = self.stats_arities_of(p);
-            (
-                self.accuracy_of(&p.genotype),
-                yoso_predictor::stats_features(&stats, &p.hw, arities),
-            )
+        let precision = self.scoring_precision();
+        let nb = self.val_batches();
+        let items = yoso_pool::parallel_map(points.len() * nb, 0, |k| {
+            let genotype = &points[k / nb].genotype;
+            match self.cached_accuracy(genotype, precision) {
+                Some(acc) => BatchItem::Cached(acc),
+                None => BatchItem::Scored(self.score_batch(genotype, precision, k % nb)),
+            }
         });
-        let (accs, xs): (Vec<f64>, Vec<Vec<f64>>) = per_point.into_iter().unzip();
+        let accs: Vec<f64> = points
+            .iter()
+            .enumerate()
+            .map(|(j, p)| match &items[j * nb..(j + 1) * nb] {
+                [BatchItem::Cached(acc), ..] => *acc,
+                scored => {
+                    let acc = fold_batches(scored.iter().map(BatchItem::score));
+                    self.acc_cache(precision).write().insert(p.genotype, acc);
+                    acc
+                }
+            })
+            .collect();
+        let xs: Vec<Vec<f64>> = points
+            .iter()
+            .map(|p| {
+                let (stats, arities) = self.stats_arities_of(p);
+                yoso_predictor::stats_features(&stats, &p.hw, arities)
+            })
+            .collect();
         let perf = self.predictor.predict_batch_from_features(&xs);
         Ok(accs
             .into_iter()
@@ -578,6 +642,11 @@ mod tests {
         assert!(heavy.energy_mj > light.energy_mj, "capacity costs energy");
     }
 
+    /// The batched fan-out and the serial per-point path give the same
+    /// bits, each from a cold cache of its own: over three unequal
+    /// validation batches, with a genotype repeated inside one batch, on
+    /// a second batch that hits the warm cache, at 1 and 4 pool threads.
+    /// One accuracy is also pinned against the training tape.
     #[test]
     fn fast_evaluator_batch_matches_per_point() {
         use yoso_dataset::SynthCifarConfig;
@@ -588,14 +657,62 @@ mod tests {
         let hyper = HyperNet::new(sk.clone(), 0);
         let samples = collect_samples(&sk, &Simulator::fast(), 80, 11);
         let predictor = PerfPredictor::train(&sk, &samples).unwrap();
-        let ev = FastEvaluator::from_parts(hyper, predictor, data);
+        let fresh = || {
+            let mut ev = FastEvaluator::from_parts(hyper.clone(), predictor.clone(), data.clone());
+            // 128 validation examples: batches of 48, 48 and 32.
+            ev.eval_batch = 48;
+            ev
+        };
+        assert_eq!(data.val.len(), 128);
+        assert_eq!(fresh().val_batches(), 3);
+
         let mut rng = StdRng::seed_from_u64(12);
-        let points: Vec<DesignPoint> = (0..9).map(|_| DesignPoint::random(&mut rng)).collect();
-        let batch = ev.evaluate_batch(&points).unwrap();
-        assert_eq!(batch.len(), points.len());
-        for (p, b) in points.iter().zip(&batch) {
-            assert_eq!(ev.evaluate(p).unwrap(), *b);
+        let mut first: Vec<DesignPoint> = (0..6).map(|_| DesignPoint::random(&mut rng)).collect();
+        first.push(DesignPoint {
+            genotype: first[2].genotype,
+            hw: yoso_arch::HwConfig::random(&mut rng),
+        });
+        let second = [first[0], DesignPoint::random(&mut rng), first[6]];
+
+        for threads in [1, 4] {
+            yoso_pool::set_num_threads(threads);
+            let batched = fresh();
+            let per_point = fresh();
+            for batch in [&first[..], &second[..]] {
+                let got = batched.evaluate_batch(batch).unwrap();
+                assert_eq!(got.len(), batch.len());
+                for (p, b) in batch.iter().zip(&got) {
+                    let want = per_point.evaluate(p).unwrap();
+                    assert_eq!(want.accuracy.to_bits(), b.accuracy.to_bits());
+                    assert_eq!(want, *b);
+                }
+            }
+            assert_eq!(
+                got_accuracy(&batched, &first[2]),
+                got_accuracy(&batched, &first[6])
+            );
         }
+        yoso_pool::set_num_threads(0);
+
+        // The tape path, folded the way `subset_accuracy` always has.
+        let point = first[0];
+        let plan = sk.compile(&point.genotype);
+        let provider = hyper.provider(&plan);
+        let mut correct = 0.0;
+        let mut total = 0usize;
+        for range in [0..48, 48..96, 96..128] {
+            let (images, labels) = data.val.batch(&range.collect::<Vec<_>>());
+            let mut g = yoso_tensor::Graph::new();
+            let logits = yoso_nn::forward_network(&plan, &mut g, hyper.store(), &provider, images);
+            correct += yoso_tensor::accuracy(g.value(logits), &labels) * labels.len() as f64;
+            total += labels.len();
+        }
+        let tape = correct / total as f64;
+        assert_eq!(got_accuracy(&fresh(), &point), tape.to_bits());
+    }
+
+    fn got_accuracy(ev: &FastEvaluator, p: &DesignPoint) -> u64 {
+        ev.evaluate(p).unwrap().accuracy.to_bits()
     }
 
     #[test]

@@ -46,7 +46,8 @@ use std::collections::HashMap;
 use yoso_arch::{Genotype, NetworkPlan, NetworkSkeleton, Op, INTERNAL_NODES, NODES_PER_CELL};
 use yoso_dataset::{Split, SynthCifar};
 use yoso_nn::{
-    evaluate_with, forward_network, ConvBn, Head, OpWeights, QuantizedNetwork, WeightProvider,
+    evaluate_with, forward_network, infer_network, ConvBn, Head, OpWeights, QuantizedNetwork,
+    WeightProvider,
 };
 use yoso_persist::{ByteReader, ByteWriter, PersistError, Snapshot};
 use yoso_tensor::{CosineLr, Graph, ParamStore, Scratch, Tensor};
@@ -256,24 +257,25 @@ impl HyperNet {
     }
 
     /// Validation accuracy of a genotype with *inherited* weights — a
-    /// single test run, the paper's fast accuracy evaluation.
+    /// single test run, the paper's fast accuracy evaluation. Runs the
+    /// tape-free [`infer_network`] walk, whose logits are bit-identical
+    /// to the training tape's.
     pub fn evaluate_genotype(&self, genotype: &Genotype, split: &Split, batch_size: usize) -> f64 {
         let plan = self.skeleton.compile(genotype);
         let provider = self.provider(&plan);
         evaluate_with(split, batch_size, |images| {
-            let mut g = Graph::new();
-            let logits = forward_network(&plan, &mut g, &self.store, &provider, images);
-            g.value(logits).clone()
+            infer_network(&plan, &self.store, &provider, &images)
         })
     }
 
     /// Validation accuracy of a genotype with inherited weights, scored
     /// on the tape-free int8 path: the candidate's dense-conv weights
     /// are quantized once ([`QuantizedNetwork::prepare`]) and every
-    /// batch runs as int8 GEMMs. Faster than [`evaluate_genotype`]
-    /// (no autograd tape, batched im2col, VNNI when available) at the
-    /// cost of conv quantization error — rank correlation with the f32
-    /// scores is pinned by the `quantized_scoring` integration test.
+    /// batch runs as int8 GEMMs (batched im2col, VNNI when available).
+    /// `BENCH_kernels.json` (`int8_scoring`) records its speed against
+    /// [`evaluate_genotype`]; it pays conv quantization error — rank
+    /// correlation with the f32 scores is pinned by the
+    /// `quantized_scoring` integration test.
     ///
     /// [`evaluate_genotype`]: HyperNet::evaluate_genotype
     pub fn evaluate_genotype_int8(

@@ -1,5 +1,8 @@
 //! Graph construction: turns a [`NetworkPlan`] plus a [`WeightProvider`]
-//! into a differentiable forward pass.
+//! into a differentiable forward pass. Training is its only user;
+//! inference runs the tape-free [`infer_network`](crate::infer_network),
+//! which mirrors this walk op for op and returns the same logits bit for
+//! bit.
 
 use crate::weights::{ConvBn, OpWeights, WeightProvider};
 use yoso_arch::{NetworkPlan, Op};

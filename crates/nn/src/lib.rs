@@ -9,7 +9,10 @@
 //! The [`WeightProvider`] abstraction decouples graph construction from
 //! weight storage so the standalone [`CellNetwork`] and the weight-sharing
 //! HyperNet (`yoso-hypernet`) share exactly one forward implementation —
-//! which is what makes weight inheritance meaningful.
+//! which is what makes weight inheritance meaningful. Training runs it on
+//! the autograd tape ([`forward_network`]); every f32 inference runs the
+//! tape-free [`infer_network`], which mirrors it op for op and returns
+//! bit-identical logits without building a `Graph`.
 //!
 //! ## Example
 //!
@@ -30,11 +33,13 @@
 #![warn(missing_docs)]
 
 pub mod forward;
+pub mod infer;
 pub mod network;
 pub mod qforward;
 pub mod weights;
 
 pub use forward::forward_network;
+pub use infer::infer_network;
 pub use network::{evaluate_with, CellNetwork, EpochStat, TrainConfig, TrainHistory};
 pub use qforward::QuantizedNetwork;
 pub use weights::{ConvBn, Head, OpWeights, SepConv, WeightProvider};

@@ -3,6 +3,7 @@
 //! (paper step 3 / Fig. 5(b) ground truth).
 
 use crate::forward::forward_network;
+use crate::infer::infer_network;
 use crate::weights::{ConvBn, Head, OpWeights, WeightProvider};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -184,11 +185,10 @@ impl CellNetwork {
         self.store.total_elems()
     }
 
-    /// Computes logits for a batch of images.
+    /// Computes logits for a batch of images on the tape-free
+    /// [`infer_network`] walk.
     pub fn logits(&self, images: Tensor) -> Tensor {
-        let mut g = Graph::new();
-        let out = forward_network(&self.plan, &mut g, &self.store, &self.provider, images);
-        g.value(out).clone()
+        infer_network(&self.plan, &self.store, &self.provider, &images)
     }
 
     /// Accuracy over an entire split (BN uses per-batch statistics, the

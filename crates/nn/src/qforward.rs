@@ -24,15 +24,12 @@
 //! layer is a single int8 GEMM — wider GEMMs amortize the weight loads
 //! and feed the AVX-VNNI kernel long contiguous rows.
 
+use crate::infer::{concat_channels, global_avg_pool, linear, BN_EPS};
 use crate::weights::{OpWeights, WeightProvider};
 use yoso_arch::{NetworkPlan, Op};
 use yoso_tensor::conv::{avgpool_forward, dwconv2d_forward, maxpool_forward, shape4};
-use yoso_tensor::matmul::sgemm_a_bt_acc;
 use yoso_tensor::quant::{gemm_q, im2col_u8_batch, quantize_activations_cm};
-use yoso_tensor::{ConvGeom, ParamStore, QuantWeights, Tensor};
-
-/// Default batch-norm epsilon, matching `Graph::new`.
-const BN_EPS: f32 = 1e-5;
+use yoso_tensor::{ConvGeom, ParamStore, QuantWeights, Scratch, Tensor};
 
 /// One conv + BN block with pre-quantized weights.
 #[derive(Debug, Clone)]
@@ -187,9 +184,12 @@ struct QScratch {
 }
 
 thread_local! {
-    /// Scoring runs one forward per candidate, so per-call scratch would
-    /// re-grow (and re-fault) ~1.5 MB of buffers every candidate;
-    /// keeping them thread-local amortizes that across the whole search.
+    /// Scoring runs one forward per validation batch, so per-call
+    /// scratch would re-grow (and re-fault) ~1.5 MB of buffers every
+    /// batch. Thread-local buffers are reused by every later forward on
+    /// the same thread: across the whole search on the search thread,
+    /// but only within one map on a pool worker, since `yoso_pool`
+    /// spawns fresh scoped workers for each map.
     static QSCRATCH: std::cell::RefCell<QScratch> = std::cell::RefCell::new(QScratch::default());
 }
 
@@ -203,7 +203,6 @@ pub struct QuantizedNetwork {
     /// `[classes, c_last]` f32 head weight.
     head_w: Vec<f32>,
     head_b: Vec<f32>,
-    classes: usize,
 }
 
 impl QuantizedNetwork {
@@ -266,7 +265,6 @@ impl QuantizedNetwork {
             cells,
             head_w: store.value(head.w).data().to_vec(),
             head_b: store.value(head.b).data().to_vec(),
-            classes: store.value(head.b).len(),
         }
     }
 
@@ -294,15 +292,10 @@ impl QuantizedNetwork {
             let p1 = qc.prep1.forward(&s1, true, scratch);
             let mut states = vec![p0, p1];
             for (ni, gene) in cell.genotype.nodes.iter().enumerate() {
-                let mut halves = Vec::with_capacity(2);
-                for (oi, (src, _)) in [(gene.in1, gene.op1), (gene.in2, gene.op2)]
-                    .into_iter()
-                    .enumerate()
-                {
-                    let qop = &qc.ops[2 * ni + oi];
-                    halves.push(apply_qop(qop, &states[src], scratch));
-                }
-                states.push(add(&halves[0], &halves[1]));
+                let [mut a, b] = [(0, gene.in1), (1, gene.in2)]
+                    .map(|(oi, src)| apply_qop(&qc.ops[2 * ni + oi], &states[src], scratch));
+                a.add_in_place(&b);
+                states.push(a);
             }
             let outs: Vec<&Tensor> = cell
                 .genotype
@@ -310,31 +303,11 @@ impl QuantizedNetwork {
                 .into_iter()
                 .map(|i| &states[i])
                 .collect();
-            let out = concat_channels(&outs);
+            let out = concat_channels(&outs, &mut Scratch::new());
             s0 = s1;
             s1 = out;
         }
-        let pooled = global_avg_pool(&s1);
-        let (n, c) = (pooled.shape()[0], pooled.shape()[1]);
-        debug_assert_eq!(self.head_w.len(), self.classes * c);
-        let mut logits = Tensor::zeros(&[n, self.classes]);
-        sgemm_a_bt_acc(
-            n,
-            c,
-            self.classes,
-            pooled.data(),
-            &self.head_w,
-            logits.data_mut(),
-        );
-        for row in 0..n {
-            for (o, bv) in logits.data_mut()[row * self.classes..(row + 1) * self.classes]
-                .iter_mut()
-                .zip(&self.head_b)
-            {
-                *o += bv;
-            }
-        }
-        logits
+        linear(&global_avg_pool(&s1), &self.head_w, &self.head_b)
     }
 }
 
@@ -355,47 +328,6 @@ fn relu(x: &Tensor) -> Tensor {
     // Single-pass build (no clone-then-rewrite): these element ops run
     // per candidate on megabytes of activations.
     Tensor::from_vec(x.shape(), x.data().iter().map(|v| v.max(0.0)).collect())
-}
-
-fn add(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.shape(), b.shape(), "add shape mismatch");
-    Tensor::from_vec(
-        a.shape(),
-        a.data().iter().zip(b.data()).map(|(x, y)| x + y).collect(),
-    )
-}
-
-fn concat_channels(parts: &[&Tensor]) -> Tensor {
-    assert!(!parts.is_empty(), "concat of zero tensors");
-    let (n, _, h, w) = shape4(parts[0]);
-    let mut c_total = 0;
-    for p in parts {
-        let (pn, pc, ph, pw) = shape4(p);
-        assert_eq!((pn, ph, pw), (n, h, w), "concat mismatched dims");
-        c_total += pc;
-    }
-    let mut data = Vec::with_capacity(n * c_total * h * w);
-    for i in 0..n {
-        for p in parts {
-            let (_, pc, _, _) = shape4(p);
-            data.extend_from_slice(&p.data()[i * pc * h * w..(i + 1) * pc * h * w]);
-        }
-    }
-    Tensor::from_vec(&[n, c_total, h, w], data)
-}
-
-fn global_avg_pool(x: &Tensor) -> Tensor {
-    let (n, c, h, w) = shape4(x);
-    let mut out = Tensor::zeros(&[n, c]);
-    let inv = 1.0 / (h * w) as f32;
-    for i in 0..n {
-        for ch in 0..c {
-            let base = (i * c + ch) * h * w;
-            let s: f32 = x.data()[base..base + h * w].iter().sum();
-            out.data_mut()[i * c + ch] = s * inv;
-        }
-    }
-    out
 }
 
 #[cfg(test)]

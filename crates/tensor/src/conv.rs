@@ -56,6 +56,11 @@ impl ConvGeom {
 /// the fused forward path uses this to avoid materializing a separate
 /// ReLU output tensor. The flag is a const generic so the branch
 /// disappears from the generated inner loops.
+///
+/// `inline(always)`: training and inference both lower through
+/// [`conv_sample`], and with two callers rustc would otherwise outline
+/// this loop nest out of `conv2d_forward_scratch`.
+#[inline(always)]
 fn im2col<const RELU: bool>(
     x: &[f32],
     c: usize,
@@ -170,43 +175,118 @@ pub fn conv2d_forward_scratch(
     relu_input: bool,
     scratch: &mut Scratch,
 ) -> (Tensor, Vec<f32>) {
-    let (n, cin, h, w) = shape4(x);
-    let ws = weight.shape();
-    assert_eq!(ws.len(), 4, "conv weight must be 4-D");
-    assert_eq!(
-        ws[1], cin,
-        "cin mismatch: weight {:?} input cin {}",
-        ws, cin
-    );
-    assert_eq!(ws[2], geom.k);
-    assert_eq!(ws[3], geom.k);
-    let cout = ws[0];
-    let hout = geom.out_dim(h);
-    let wout = geom.out_dim(w);
-    let ckk = cin * geom.k * geom.k;
-    let hw_out = hout * wout;
+    let d = ConvDims::of(x, weight, geom);
+    let col_len = d.col_len();
     // im2col overwrites every element (padding is written as an explicit
     // zero), so the recycled buffer's contents don't matter.
-    let mut cols = scratch.take(n * ckk * hw_out);
-    let mut out = Tensor::zeros(&[n, cout, hout, wout]);
-    for i in 0..n {
-        let col = &mut cols[i * ckk * hw_out..(i + 1) * ckk * hw_out];
-        let xi = &x.data()[i * cin * h * w..(i + 1) * cin * h * w];
-        if relu_input {
-            im2col::<true>(xi, cin, h, w, geom, hout, wout, col);
-        } else {
-            im2col::<false>(xi, cin, h, w, geom, hout, wout, col);
-        }
-        sgemm(
-            cout,
-            ckk,
-            hw_out,
-            weight.data(),
-            col,
-            &mut out.data_mut()[i * cout * hw_out..(i + 1) * cout * hw_out],
-        );
+    let mut cols = scratch.take(d.n * col_len);
+    let mut out = Tensor::zeros(&[d.n, d.cout, d.hout, d.wout]);
+    for i in 0..d.n {
+        let col = &mut cols[i * col_len..(i + 1) * col_len];
+        conv_sample(&d, x, weight, relu_input, i, col, out.data_mut());
     }
     (out, cols)
+}
+
+/// Inference-only forward 2-D convolution: bit-identical to
+/// [`conv2d_forward_scratch`], but every sample is lowered into one
+/// `cin·k·k·hout·wout` column buffer instead of a whole-batch one, no
+/// columns are kept for a backward pass, and the output is drawn from
+/// `scratch` too. The column buffer goes back to `scratch` on return.
+///
+/// # Panics
+///
+/// Panics if shapes are inconsistent with `geom`.
+pub fn conv2d_forward_infer(
+    x: &Tensor,
+    weight: &Tensor,
+    geom: ConvGeom,
+    relu_input: bool,
+    scratch: &mut Scratch,
+) -> Tensor {
+    let d = ConvDims::of(x, weight, geom);
+    let mut col = scratch.take(d.col_len());
+    // `sgemm` overwrites every output element, so the recycled buffer's
+    // contents don't matter.
+    let shape = [d.n, d.cout, d.hout, d.wout];
+    let mut out = Tensor::from_vec(&shape, scratch.take(shape.iter().product()));
+    for i in 0..d.n {
+        conv_sample(&d, x, weight, relu_input, i, &mut col, out.data_mut());
+    }
+    scratch.give(col);
+    out
+}
+
+/// Shape-checked dimensions of one conv forward.
+struct ConvDims {
+    n: usize,
+    cin: usize,
+    h: usize,
+    w: usize,
+    cout: usize,
+    hout: usize,
+    wout: usize,
+    geom: ConvGeom,
+}
+
+impl ConvDims {
+    fn of(x: &Tensor, weight: &Tensor, geom: ConvGeom) -> Self {
+        let (n, cin, h, w) = shape4(x);
+        let ws = weight.shape();
+        assert_eq!(ws.len(), 4, "conv weight must be 4-D");
+        assert_eq!(
+            ws[1], cin,
+            "cin mismatch: weight {:?} input cin {}",
+            ws, cin
+        );
+        assert_eq!(ws[2], geom.k);
+        assert_eq!(ws[3], geom.k);
+        ConvDims {
+            n,
+            cin,
+            h,
+            w,
+            cout: ws[0],
+            hout: geom.out_dim(h),
+            wout: geom.out_dim(w),
+            geom,
+        }
+    }
+
+    /// Length of one sample's column matrix, `cin·k·k × hout·wout`.
+    fn col_len(&self) -> usize {
+        self.cin * self.geom.k * self.geom.k * self.hout * self.wout
+    }
+}
+
+/// Lowers sample `i` of `x` into `col` and multiplies it by `weight` into
+/// sample `i` of `out`: the per-sample step both conv forwards share.
+#[inline(always)]
+fn conv_sample(
+    d: &ConvDims,
+    x: &Tensor,
+    weight: &Tensor,
+    relu_input: bool,
+    i: usize,
+    col: &mut [f32],
+    out: &mut [f32],
+) {
+    let (cin, h, w) = (d.cin, d.h, d.w);
+    let hw_out = d.hout * d.wout;
+    let xi = &x.data()[i * cin * h * w..(i + 1) * cin * h * w];
+    if relu_input {
+        im2col::<true>(xi, cin, h, w, d.geom, d.hout, d.wout, col);
+    } else {
+        im2col::<false>(xi, cin, h, w, d.geom, d.hout, d.wout, col);
+    }
+    sgemm(
+        d.cout,
+        cin * d.geom.k * d.geom.k,
+        hw_out,
+        weight.data(),
+        col,
+        &mut out[i * d.cout * hw_out..(i + 1) * d.cout * hw_out],
+    );
 }
 
 /// Backward 2-D convolution. Returns `(dx, dweight)`.
@@ -284,14 +364,40 @@ fn tap_range(
     (lo, hi)
 }
 
+/// Shape `[n, c, hout, wout]` of a window op (depthwise conv, pooling)
+/// over `x`.
+fn window_out_shape(x: &Tensor, geom: ConvGeom) -> [usize; 4] {
+    let (n, c, h, w) = shape4(x);
+    [n, c, geom.out_dim(h), geom.out_dim(w)]
+}
+
+/// A zeroed tensor of `shape` drawn from `scratch`.
+fn zeroed_from(scratch: &mut Scratch, shape: [usize; 4]) -> Tensor {
+    Tensor::from_vec(&shape, scratch.take_zeroed(shape.iter().product()))
+}
+
 /// Forward depthwise convolution: `x` `[n, c, h, w]`, `weight` `[c, k, k]`.
 pub fn dwconv2d_forward(x: &Tensor, weight: &Tensor, geom: ConvGeom) -> Tensor {
+    dwconv2d_acc(x, weight, geom, Tensor::zeros(&window_out_shape(x, geom)))
+}
+
+/// [`dwconv2d_forward`] with its output drawn from `scratch`.
+pub fn dwconv2d_forward_scratch(
+    x: &Tensor,
+    weight: &Tensor,
+    geom: ConvGeom,
+    scratch: &mut Scratch,
+) -> Tensor {
+    let out = zeroed_from(scratch, window_out_shape(x, geom));
+    dwconv2d_acc(x, weight, geom, out)
+}
+
+/// Accumulates the depthwise convolution of `x` into the zeroed `out`.
+fn dwconv2d_acc(x: &Tensor, weight: &Tensor, geom: ConvGeom, mut out: Tensor) -> Tensor {
     let (n, c, h, w) = shape4(x);
     let ws = weight.shape();
     assert_eq!(ws, &[c, geom.k, geom.k], "dwconv weight shape");
-    let hout = geom.out_dim(h);
-    let wout = geom.out_dim(w);
-    let mut out = Tensor::zeros(&[n, c, hout, wout]);
+    let (hout, wout) = (out.shape()[2], out.shape()[3]);
     let k = geom.k;
     let (s, pad) = (geom.stride, geom.pad);
     // Tap-outer accumulation: for each kernel tap, the valid output
@@ -397,11 +503,30 @@ pub fn dwconv2d_backward(
 /// Forward max pooling; returns the output and the argmax index (into the
 /// flattened per-sample input) for each output element, used by backward.
 pub fn maxpool_forward(x: &Tensor, geom: ConvGeom) -> (Tensor, Vec<u32>) {
+    let shape = window_out_shape(x, geom);
+    let mut arg = vec![0u32; shape.iter().product()];
+    let out = maxpool_into::<true>(x, geom, Tensor::zeros(&shape), &mut arg);
+    (out, arg)
+}
+
+/// [`maxpool_forward`]'s output alone, drawn from `scratch`: inference
+/// needs no argmax.
+pub fn maxpool_forward_scratch(x: &Tensor, geom: ConvGeom, scratch: &mut Scratch) -> Tensor {
+    let shape = window_out_shape(x, geom);
+    let out = Tensor::from_vec(&shape, scratch.take(shape.iter().product()));
+    maxpool_into::<false>(x, geom, out, &mut [])
+}
+
+/// Writes every window's maximum into `out` (whose contents are
+/// overwritten) and, with `ARG`, its argmax into `arg`.
+fn maxpool_into<const ARG: bool>(
+    x: &Tensor,
+    geom: ConvGeom,
+    mut out: Tensor,
+    arg: &mut [u32],
+) -> Tensor {
     let (n, c, h, w) = shape4(x);
-    let hout = geom.out_dim(h);
-    let wout = geom.out_dim(w);
-    let mut out = Tensor::zeros(&[n, c, hout, wout]);
-    let mut arg = vec![0u32; n * c * hout * wout];
+    let (hout, wout) = (out.shape()[2], out.shape()[3]);
     let (s, pad, k) = (geom.stride, geom.pad, geom.k);
     out.data_mut().fill(f32::NEG_INFINITY);
     // Tap-outer running max. Taps are visited in the same (ky, kx) order
@@ -414,7 +539,11 @@ pub fn maxpool_forward(x: &Tensor, geom: ConvGeom) -> (Tensor, Vec<u32>) {
             let xc = &x.data()[base..base + h * w];
             let obase = (i * c + ch) * hout * wout;
             let oc = &mut out.data_mut()[obase..obase + hout * wout];
-            let ac = &mut arg[obase..obase + hout * wout];
+            let ac: &mut [u32] = if ARG {
+                &mut arg[obase..obase + hout * wout]
+            } else {
+                &mut []
+            };
             for ky in 0..k {
                 let (oy_lo, oy_hi) = tap_range(ky, pad, s, h, hout);
                 for kx in 0..k {
@@ -427,21 +556,29 @@ pub fn maxpool_forward(x: &Tensor, geom: ConvGeom) -> (Tensor, Vec<u32>) {
                         let iy = oy * s + ky - pad;
                         let xrow = &xc[iy * w..(iy + 1) * w];
                         let orow = &mut oc[oy * wout + lo..oy * wout + hi];
-                        let arow = &mut ac[oy * wout + lo..oy * wout + hi];
                         let mut ix = x0;
-                        for (o, a) in orow.iter_mut().zip(arow.iter_mut()) {
-                            let v = xrow[ix];
-                            let better = v > *o;
-                            *a = if better { (iy * w + ix) as u32 } else { *a };
-                            *o = if better { v } else { *o };
-                            ix += s;
+                        if ARG {
+                            let arow = &mut ac[oy * wout + lo..oy * wout + hi];
+                            for (o, a) in orow.iter_mut().zip(arow.iter_mut()) {
+                                let v = xrow[ix];
+                                let better = v > *o;
+                                *a = if better { (iy * w + ix) as u32 } else { *a };
+                                *o = if better { v } else { *o };
+                                ix += s;
+                            }
+                        } else {
+                            for o in orow.iter_mut() {
+                                let v = xrow[ix];
+                                *o = if v > *o { v } else { *o };
+                                ix += s;
+                            }
                         }
                     }
                 }
             }
         }
     }
-    (out, arg)
+    out
 }
 
 /// Backward max pooling.
@@ -465,10 +602,19 @@ pub fn maxpool_backward(x_shape: &[usize], geom: ConvGeom, arg: &[u32], dout: &T
 /// Forward average pooling (padding excluded from the divisor, matching
 /// `count_include_pad=False`).
 pub fn avgpool_forward(x: &Tensor, geom: ConvGeom) -> Tensor {
+    avgpool_acc(x, geom, Tensor::zeros(&window_out_shape(x, geom)))
+}
+
+/// [`avgpool_forward`] with its output drawn from `scratch`.
+pub fn avgpool_forward_scratch(x: &Tensor, geom: ConvGeom, scratch: &mut Scratch) -> Tensor {
+    let out = zeroed_from(scratch, window_out_shape(x, geom));
+    avgpool_acc(x, geom, out)
+}
+
+/// Accumulates the window averages of `x` into the zeroed `out`.
+fn avgpool_acc(x: &Tensor, geom: ConvGeom, mut out: Tensor) -> Tensor {
     let (n, c, h, w) = shape4(x);
-    let hout = geom.out_dim(h);
-    let wout = geom.out_dim(w);
-    let mut out = Tensor::zeros(&[n, c, hout, wout]);
+    let (hout, wout) = (out.shape()[2], out.shape()[3]);
     let (s, pad, k) = (geom.stride, geom.pad, geom.k);
     // Per-position reciprocal valid-count table, shared by every (n, c)
     // plane: the count factorizes as (#valid ky) * (#valid kx).
@@ -752,6 +898,49 @@ mod tests {
                     "conv[{i}]: {a} vs {b}"
                 );
             }
+        }
+
+        /// The scratch-backed kernels inference runs equal the allocating
+        /// kernels training runs bit for bit, with buffers recycled from
+        /// an arena of stale NaNs, so an element a kernel forgets to
+        /// write shows up.
+        #[test]
+        fn scratch_kernels_match_allocating_kernels_bitwise(
+            seed in 0u64..1000,
+            n in 1usize..5,
+            cin in 1usize..4,
+            cout in 1usize..4,
+            h in 3usize..8,
+            w in 3usize..8,
+            k in 1usize..4,
+            stride in 1usize..3,
+            pad in 0usize..2,
+            relu in any::<bool>(),
+        ) {
+            let g = ConvGeom::new(k, stride, pad);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let x = Tensor::randn(&[n, cin, h, w], 1.0, &mut rng);
+            let wt = Tensor::randn(&[cout, cin, k, k], 0.5, &mut rng);
+            let dw = Tensor::randn(&[cin, k, k], 0.5, &mut rng);
+            let mut scratch = Scratch::new();
+            for _ in 0..8 {
+                scratch.give(vec![f32::NAN; 4096]);
+            }
+            let bits = |t: &Tensor| (t.shape().to_vec(), t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+            let (conv, _) = conv2d_forward_scratch(&x, &wt, g, relu, &mut Scratch::new());
+            prop_assert_eq!(bits(&conv2d_forward_infer(&x, &wt, g, relu, &mut scratch)), bits(&conv));
+            prop_assert_eq!(
+                bits(&dwconv2d_forward_scratch(&x, &dw, g, &mut scratch)),
+                bits(&dwconv2d_forward(&x, &dw, g))
+            );
+            prop_assert_eq!(
+                bits(&maxpool_forward_scratch(&x, g, &mut scratch)),
+                bits(&maxpool_forward(&x, g).0)
+            );
+            prop_assert_eq!(
+                bits(&avgpool_forward_scratch(&x, g, &mut scratch)),
+                bits(&avgpool_forward(&x, g))
+            );
         }
     }
 

@@ -755,9 +755,7 @@ impl Graph {
 /// `(normalized output, per-channel mean, per-channel 1/std)`.
 ///
 /// Shared by [`Graph::batch_norm`] and [`Graph::fused_conv_bn`] so the
-/// fused op is bit-identical to the unfused sequence; public so the
-/// tape-free int8 scoring path (`yoso-nn`'s quantized forward) applies
-/// the exact same normalization to its dequantized conv outputs.
+/// fused op is bit-identical to the unfused sequence.
 #[allow(clippy::too_many_arguments)]
 pub fn batch_norm_forward(
     xs: &[f32],
@@ -769,6 +767,62 @@ pub fn batch_norm_forward(
     gamma: &[f32],
     beta: &[f32],
 ) -> (Tensor, Vec<f32>, Vec<f32>) {
+    let (mean, inv_std) = batch_norm_stats(xs, n, c, h, w, eps);
+    let mut out = Tensor::zeros(&[n, c, h, w]);
+    {
+        let od = out.data_mut();
+        for i in 0..n {
+            for ch in 0..c {
+                let base = (i * c + ch) * h * w;
+                let (mu, is, ga, be) = (mean[ch], inv_std[ch], gamma[ch], beta[ch]);
+                for (o, v) in od[base..base + h * w]
+                    .iter_mut()
+                    .zip(&xs[base..base + h * w])
+                {
+                    *o = ga * (v - mu) * is + be;
+                }
+            }
+        }
+    }
+    (out, mean, inv_std)
+}
+
+/// [`batch_norm_forward`] overwriting its input, for inference: the same
+/// statistics and the same per-element arithmetic, so the same bits,
+/// without allocating an output or keeping the statistics.
+#[allow(clippy::too_many_arguments)]
+pub fn batch_norm_in_place(
+    xs: &mut [f32],
+    n: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    eps: f32,
+    gamma: &[f32],
+    beta: &[f32],
+) {
+    let (mean, inv_std) = batch_norm_stats(xs, n, c, h, w, eps);
+    for i in 0..n {
+        for ch in 0..c {
+            let base = (i * c + ch) * h * w;
+            let (mu, is, ga, be) = (mean[ch], inv_std[ch], gamma[ch], beta[ch]);
+            for v in &mut xs[base..base + h * w] {
+                *v = ga * (*v - mu) * is + be;
+            }
+        }
+    }
+}
+
+/// Per-channel batch mean and `1/sqrt(biased variance + eps)` over NCHW
+/// data.
+fn batch_norm_stats(
+    xs: &[f32],
+    n: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    eps: f32,
+) -> (Vec<f32>, Vec<f32>) {
     let m = (n * h * w) as f32;
     let mut mean = vec![0.0f32; c];
     let mut var = vec![0.0f32; c];
@@ -792,24 +846,8 @@ pub fn batch_norm_forward(
             }
         }
     }
-    let inv_std: Vec<f32> = var.iter().map(|v| 1.0 / (v / m + eps).sqrt()).collect();
-    let mut out = Tensor::zeros(&[n, c, h, w]);
-    {
-        let od = out.data_mut();
-        for i in 0..n {
-            for ch in 0..c {
-                let base = (i * c + ch) * h * w;
-                let (mu, is, ga, be) = (mean[ch], inv_std[ch], gamma[ch], beta[ch]);
-                for (o, v) in od[base..base + h * w]
-                    .iter_mut()
-                    .zip(&xs[base..base + h * w])
-                {
-                    *o = ga * (v - mu) * is + be;
-                }
-            }
-        }
-    }
-    (out, mean, inv_std)
+    let inv_std = var.iter().map(|v| 1.0 / (v / m + eps).sqrt()).collect();
+    (mean, inv_std)
 }
 
 /// Batch-norm backward over NCHW data. `xs` is the forward *input*;

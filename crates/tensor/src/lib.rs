@@ -55,7 +55,7 @@ pub mod snapshot;
 pub mod tensor;
 
 pub use conv::ConvGeom;
-pub use graph::{accuracy, batch_norm_forward, Graph, Var};
+pub use graph::{accuracy, batch_norm_forward, batch_norm_in_place, Graph, Var};
 pub use matmul::{
     kernel_kind, num_threads as matmul_threads, set_kernel, set_num_threads as set_matmul_threads,
     set_simd_tier, simd_tier, KernelKind, SimdTier,

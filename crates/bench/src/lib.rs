@@ -407,7 +407,10 @@ pub fn finish_trace(trace: &yoso_trace::Trace) {
             .with_f64("thread_ms", thread_ns as f64 / 1e6)
             .with_f64("utilization", utilization),
     );
-    let (samples, sample_ms) = hist("controller.sample");
+    // One `controller.sample` span times a whole batch, so the rollout
+    // count comes from its own counter.
+    let samples = reg.counter("controller.rollouts");
+    let (_, sample_ms) = hist("controller.sample");
     let (updates, update_ms) = hist("controller.update");
     trace.emit(
         Event::new("controller_summary")

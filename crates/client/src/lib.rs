@@ -658,37 +658,66 @@ impl ResilientClient {
     fn stream_once(&mut self, job: u64, from: u64) -> Result<Option<JobDone>, ClientError> {
         // Subscribe on the live connection from the watermark; the
         // reply confirms the job exists before we block on events.
-        self.conn()?.subscribe_from(job, from)?;
+        if let Err(e) = self.conn()?.subscribe_from(job, from) {
+            // A finished job's replay arrives ahead of the reply, and
+            // `request` buffers it. Keep what extends the watermark
+            // before the connection goes, or a replay longer than the
+            // link stays up between faults never makes progress.
+            let buffered = self
+                .client
+                .as_mut()
+                .map(|c| std::mem::take(&mut c.pending))
+                .unwrap_or_default();
+            for frame in buffered {
+                match self.accept(job, frame) {
+                    Ok(Some(done)) => return Ok(Some(done)),
+                    Ok(None) => {}
+                    Err(_) => break,
+                }
+            }
+            return Err(e);
+        }
         loop {
             let frame = self.conn()?.next_event()?;
-            match frame {
-                Reply::Event { job: j, seq, line } => {
-                    if j != job {
-                        continue; // other jobs' frames: not ours to track
-                    }
-                    let next = self.next_seq.entry(job).or_insert(0);
-                    if seq < *next {
-                        continue; // replayed duplicate below the watermark
-                    }
-                    if seq > *next {
-                        // A gap means the subscription missed events —
-                        // resubscribe from the watermark.
-                        return Err(ClientError::Io(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!("event gap: expected seq {next}, got {seq}"),
-                        )));
-                    }
-                    *next += 1;
-                    self.collected.entry(job).or_default().push(line);
-                }
-                Reply::Done(done) => {
-                    if done.job == job {
-                        return Ok(Some(done));
-                    }
-                    self.finished.insert(done.job, done);
-                }
-                other => return Err(ClientError::unexpected(&other)),
+            if let Some(done) = self.accept(job, frame)? {
+                return Ok(Some(done));
             }
+        }
+    }
+
+    /// Applies one stream frame to `job`'s watermark: accepts the event
+    /// at the watermark, drops replayed duplicates below it and other
+    /// jobs' events, and fails on a gap. Returns `job`'s terminal frame.
+    fn accept(&mut self, job: u64, frame: Reply) -> Result<Option<JobDone>, ClientError> {
+        match frame {
+            Reply::Event { job: j, seq, line } => {
+                if j != job {
+                    return Ok(None); // other jobs' frames: not ours to track
+                }
+                let next = self.next_seq.entry(job).or_insert(0);
+                if seq < *next {
+                    return Ok(None); // replayed duplicate below the watermark
+                }
+                if seq > *next {
+                    // A gap means the subscription missed events —
+                    // resubscribe from the watermark.
+                    return Err(ClientError::Io(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("event gap: expected seq {next}, got {seq}"),
+                    )));
+                }
+                *next += 1;
+                self.collected.entry(job).or_default().push(line);
+                Ok(None)
+            }
+            Reply::Done(done) => {
+                if done.job == job {
+                    return Ok(Some(done));
+                }
+                self.finished.insert(done.job, done);
+                Ok(None)
+            }
+            other => Err(ClientError::unexpected(&other)),
         }
     }
 

@@ -28,8 +28,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod gemm;
 pub mod lstm;
 pub mod policy;
 
-pub use lstm::{LstmCache, LstmParams, LstmShape};
+pub use lstm::{LstmParams, LstmShape};
 pub use policy::{Controller, ControllerConfig, Rollout, UpdateStats};

@@ -6,11 +6,21 @@
 //! a temperature of 1.1 and a `2.5 * tanh` constant (following ENAS \[7\]),
 //! a sample-entropy bonus is added to the reward, and the parameters are
 //! updated with REINFORCE plus a moving-average baseline (Eq. 4).
+//!
+//! Rollouts run in lockstep: [`Controller::sample_batch`] advances a whole
+//! batch one step at a time, so each step's gate product is one matrix
+//! product over the batch. Every rollout keeps the pass's per-step
+//! records, stamped with the weight version they were computed under, and
+//! [`Controller::update`] backpropagates through them; it replays the
+//! forward pass only when a record is stale.
 
 #![allow(clippy::needless_range_loop)]
 
-use crate::lstm::{LstmParams, LstmShape};
+use crate::gemm::gemm_acc;
+use crate::lstm::{cell_backward, LstmParams, LstmShape};
 use rand::{Rng, RngExt};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use yoso_persist::{ByteReader, ByteWriter, PersistError, Snapshot};
 use yoso_tensor::{Adam, ParamId, ParamStore, Tensor};
 
@@ -58,7 +68,11 @@ impl ControllerConfig {
 }
 
 /// One sampled action sequence with its policy statistics.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A rollout also holds the per-step records of the pass that sampled
+/// it, which [`Controller::update`] reads instead of running the forward
+/// pass again. Equality and `Debug` ignore them.
+#[derive(Clone)]
 pub struct Rollout {
     /// Sampled action per step.
     pub actions: Vec<usize>,
@@ -66,6 +80,28 @@ pub struct Rollout {
     pub log_prob: f64,
     /// Sum of per-step softmax entropies.
     pub entropy: f64,
+    /// The pass that sampled this rollout, shared with the rest of its
+    /// batch, and this rollout's row in it.
+    pass: Arc<Pass>,
+    row: usize,
+}
+
+impl PartialEq for Rollout {
+    fn eq(&self, other: &Self) -> bool {
+        self.actions == other.actions
+            && self.log_prob == other.log_prob
+            && self.entropy == other.entropy
+    }
+}
+
+impl std::fmt::Debug for Rollout {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Rollout")
+            .field("actions", &self.actions)
+            .field("log_prob", &self.log_prob)
+            .field("entropy", &self.entropy)
+            .finish()
+    }
 }
 
 /// Statistics returned by [`Controller::update`].
@@ -81,6 +117,137 @@ pub struct UpdateStats {
     pub mean_entropy: f64,
 }
 
+/// Source of weight versions: every controller state gets a number no
+/// other state in the process has, so records match only the weights
+/// that produced them.
+static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_version() -> u64 {
+    // Uniqueness needs only the atomicity of `fetch_add`; the counter
+    // publishes no other data.
+    NEXT_VERSION.fetch_add(1, Ordering::Relaxed)
+}
+
+/// What one lockstep forward pass computed for each of its rows, step
+/// by step: everything the backward pass reads.
+#[derive(Default)]
+struct Pass {
+    /// Weight version the pass ran under (0: none).
+    version: u64,
+    rows: usize,
+    steps: usize,
+    hidden: usize,
+    /// Width of an LSTM input row, `E + H`.
+    zd: usize,
+    /// Prefix sums of the vocabulary sizes, `T + 1` entries.
+    voff: Vec<usize>,
+    /// `[T + 1][rows][E + H]`: step `s`'s LSTM input `[x_s | h_{s-1}]`;
+    /// slot `T` holds only the last hidden state.
+    z: Vec<f32>,
+    /// `[T][rows][4H]`: post-activation gates.
+    gates: Vec<f32>,
+    /// `[T + 1][rows][H]`: cell states; slot 0 is the zero initial state.
+    c: Vec<f32>,
+    /// Raw head logits: step `s`'s `[rows][v_s]` block at `rows · voff[s]`.
+    logits: Vec<f32>,
+    /// Softmax probabilities, laid out like `logits`.
+    probs: Vec<f32>,
+    /// `[rows][T]` actions.
+    actions: Vec<usize>,
+    /// Per-row sums of step log-probabilities.
+    log_prob: Vec<f64>,
+    /// Per-row sums of step entropies.
+    entropy: Vec<f64>,
+}
+
+impl Pass {
+    fn z_row(&self, s: usize, row: usize) -> &[f32] {
+        let o = (s * self.rows + row) * self.zd;
+        &self.z[o..o + self.zd]
+    }
+
+    /// Hidden state after step `s`.
+    fn h_row(&self, s: usize, row: usize) -> &[f32] {
+        &self.z_row(s + 1, row)[self.zd - self.hidden..]
+    }
+
+    fn gate_row(&self, s: usize, row: usize) -> &[f32] {
+        let g4 = 4 * self.hidden;
+        let o = (s * self.rows + row) * g4;
+        &self.gates[o..o + g4]
+    }
+
+    /// Cell state before step `s` (after step `s - 1`).
+    fn c_row(&self, s: usize, row: usize) -> &[f32] {
+        let o = (s * self.rows + row) * self.hidden;
+        &self.c[o..o + self.hidden]
+    }
+
+    /// Offset of `row`'s `v_s` head entries at step `s`.
+    fn head(&self, s: usize, row: usize) -> usize {
+        let v = self.voff[s + 1] - self.voff[s];
+        self.rows * self.voff[s] + row * v
+    }
+
+    fn actions(&self, row: usize) -> &[usize] {
+        &self.actions[row * self.steps..(row + 1) * self.steps]
+    }
+}
+
+/// Where a forward pass gets each step's action from.
+enum Source<'a> {
+    /// Samples with these uniform draws, one per step, rollout-major.
+    Draws(&'a [f32]),
+    /// Replays these rollouts' actions.
+    Replay(&'a [(Rollout, f64)]),
+}
+
+/// Buffers reused across passes and updates, so that neither allocates
+/// (and faults in) fresh pages once warm.
+#[derive(Default)]
+struct Workspace {
+    /// The latest pass, reused once no rollout holds it.
+    pass: Option<Arc<Pass>>,
+    /// Gate weights, column-major ([`LstmParams::gate_weights_t`]).
+    wt: Vec<f32>,
+    /// Head weights transposed: step `s`'s `[H, v_s]` at `H · voff[s]`.
+    wht: Vec<f32>,
+    /// Backward scratch: gate pre-activation gradients `[rows][T][4H]`
+    /// (each rollout's steps last first), `[dx | dh_prev]` per row, the
+    /// gradients reaching `h` and `c`, and the head-logit gradients.
+    dpre: Vec<f32>,
+    dz: Vec<f32>,
+    dh: Vec<f32>,
+    dc: Vec<f32>,
+    dl: Vec<f32>,
+}
+
+/// A controller's [`Workspace`]: scratch memory, so a clone starts with
+/// its own empty one, and snapshots leave it out.
+#[derive(Default)]
+struct Scratch(Mutex<Workspace>);
+
+impl Scratch {
+    /// A panic mid-pass poisons the lock but cannot leave the workspace
+    /// inconsistent: every buffer is rewritten before it is read, and a
+    /// pass returns to the workspace only once it is complete.
+    fn lock(&self) -> MutexGuard<'_, Workspace> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
+}
+
+impl std::fmt::Debug for Scratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Scratch")
+    }
+}
+
 /// The LSTM policy with per-step embeddings and softmax heads.
 #[derive(Debug, Clone)]
 pub struct Controller {
@@ -94,13 +261,9 @@ pub struct Controller {
     heads: Vec<(ParamId, ParamId)>,
     opt: Adam,
     baseline: Option<f64>,
-}
-
-struct StepCache {
-    lstm: crate::lstm::LstmCache,
-    probs: Vec<f32>,
-    logits_raw: Vec<f32>,
-    action: usize,
+    /// Version of the current weights (see [`fresh_version`]).
+    version: u64,
+    work: Scratch,
 }
 
 impl Controller {
@@ -147,6 +310,8 @@ impl Controller {
             heads,
             opt,
             baseline: None,
+            version: fresh_version(),
+            work: Scratch::default(),
         }
     }
 
@@ -172,100 +337,196 @@ impl Controller {
         }
     }
 
-    /// Runs the policy forward; `forced` replays a stored action sequence
-    /// (for the update pass), otherwise actions are sampled from `rng`.
-    fn run<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        forced: Option<&[usize]>,
-    ) -> (Vec<StepCache>, f64, f64) {
-        let t_len = self.cfg.vocab_sizes.len();
+    /// Runs `rows` rollouts through the policy in lockstep and returns
+    /// the pass, reusing the workspace's last pass when nothing else
+    /// holds it.
+    fn forward(&self, work: &mut Workspace, rows: usize, source: Source<'_>) -> Arc<Pass> {
+        let mut shared = match work.pass.take() {
+            Some(pass) if Arc::strong_count(&pass) == 1 => pass,
+            _ => Arc::new(Pass::default()),
+        };
+        let pass = Arc::get_mut(&mut shared).expect("pass is unshared");
         let shape = self.shape();
-        let mut h = vec![0.0f32; self.cfg.hidden];
-        let mut c = vec![0.0f32; self.cfg.hidden];
-        let mut caches = Vec::with_capacity(t_len);
-        let mut log_prob = 0.0f64;
-        let mut entropy = 0.0f64;
-        let mut prev_action = 0usize;
-        for s in 0..t_len {
-            let emb_t = self.store.value(self.emb[s]);
-            let row = if s == 0 { 0 } else { prev_action };
-            let e = self.cfg.embed;
-            let x = &emb_t.data()[row * e..(row + 1) * e];
-            let cache = self.lstm.forward(&self.store, shape, x, &h, &c);
-            let v = self.cfg.vocab_sizes[s];
-            let (w, b) = self.heads[s];
-            let wd = self.store.value(w).data();
-            let bd = self.store.value(b).data();
-            let mut logits_raw = vec![0.0f32; v];
-            for (j, lr_) in logits_raw.iter_mut().enumerate() {
-                let row_w = &wd[j * self.cfg.hidden..(j + 1) * self.cfg.hidden];
-                *lr_ = row_w.iter().zip(&cache.h).map(|(a, b)| a * b).sum::<f32>() + bd[j];
-            }
-            // ENAS-style logit shaping.
-            let logits: Vec<f32> = logits_raw
-                .iter()
-                .map(|&z| self.cfg.tanh_constant * (z / self.cfg.temperature).tanh())
-                .collect();
-            let mx = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut probs: Vec<f32> = logits.iter().map(|&z| (z - mx).exp()).collect();
-            let denom: f32 = probs.iter().sum();
-            for p in &mut probs {
-                *p /= denom;
-            }
-            let action = match forced {
-                Some(seq) => seq[s],
-                None => {
-                    let u: f32 = rng.random();
-                    let mut acc = 0.0;
-                    let mut a = v - 1;
-                    for (j, &p) in probs.iter().enumerate() {
-                        acc += p;
-                        if u < acc {
-                            a = j;
-                            break;
-                        }
-                    }
-                    a
-                }
-            };
-            log_prob += (probs[action].max(1e-12) as f64).ln();
-            entropy += -probs
-                .iter()
-                .map(|&p| {
-                    if p > 0.0 {
-                        (p as f64) * (p as f64).ln()
-                    } else {
-                        0.0
-                    }
-                })
-                .sum::<f64>();
-            h = cache.h.clone();
-            c = cache.c.clone();
-            caches.push(StepCache {
-                lstm: cache,
-                probs,
-                logits_raw,
-                action,
-            });
-            prev_action = action;
+        let vocab = &self.cfg.vocab_sizes;
+        let (t_len, h, e, zd) = (vocab.len(), shape.hidden, shape.input, shape.z_width());
+        let g4 = 4 * h;
+        pass.version = self.version;
+        pass.rows = rows;
+        pass.steps = t_len;
+        pass.hidden = h;
+        pass.zd = zd;
+        pass.voff.clear();
+        pass.voff.push(0);
+        for &v in vocab {
+            pass.voff.push(pass.voff[pass.voff.len() - 1] + v);
         }
-        (caches, log_prob, entropy)
+        let heads_len = rows * pass.voff[t_len];
+        // Every entry is written below before it is read, except the
+        // zero initial hidden and cell states and the running sums.
+        pass.z.resize((t_len + 1) * rows * zd, 0.0);
+        pass.z[..rows * zd].fill(0.0);
+        pass.gates.resize(t_len * rows * g4, 0.0);
+        pass.c.resize((t_len + 1) * rows * h, 0.0);
+        pass.c[..rows * h].fill(0.0);
+        pass.logits.resize(heads_len, 0.0);
+        pass.probs.resize(heads_len, 0.0);
+        pass.actions.resize(rows * t_len, 0);
+        pass.log_prob.clear();
+        pass.log_prob.resize(rows, 0.0);
+        pass.entropy.clear();
+        pass.entropy.resize(rows, 0.0);
+
+        self.lstm.gate_weights_t(&self.store, shape, &mut work.wt);
+        work.wht.clear();
+        work.wht.resize(h * pass.voff[t_len], 0.0);
+        for (s, &(w, _)) in self.heads.iter().enumerate() {
+            let (wd, v) = (self.store.value(w).data(), vocab[s]);
+            let wht = &mut work.wht[h * pass.voff[s]..h * pass.voff[s + 1]];
+            for j in 0..v {
+                for k in 0..h {
+                    wht[k * v + j] = wd[j * h + k];
+                }
+            }
+        }
+
+        for s in 0..t_len {
+            let emb = self.store.value(self.emb[s]).data();
+            for row in 0..rows {
+                let a = if s == 0 {
+                    0
+                } else {
+                    pass.actions[row * t_len + s - 1]
+                };
+                let o = (s * rows + row) * zd;
+                pass.z[o..o + e].copy_from_slice(&emb[a * e..(a + 1) * e]);
+            }
+            let (z, z_next) = pass.z[s * rows * zd..].split_at_mut(rows * zd);
+            let (c_prev, c) = pass.c[s * rows * h..].split_at_mut(rows * h);
+            let gates = &mut pass.gates[s * rows * g4..];
+            self.lstm.forward_step(
+                &self.store,
+                shape,
+                &work.wt,
+                rows,
+                z,
+                c_prev,
+                gates,
+                c,
+                z_next,
+            );
+
+            // Head logits: a dot product over h summed from -0.0, as
+            // `Iterator::sum` does, plus the bias.
+            let v = vocab[s];
+            let lo = rows * pass.voff[s];
+            let logits = &mut pass.logits[lo..lo + rows * v];
+            logits.fill(-0.0);
+            let wht = &work.wht[h * pass.voff[s]..h * pass.voff[s + 1]];
+            let hs = &z_next[e..];
+            gemm_acc::<false>(
+                rows,
+                v,
+                h,
+                |i, p| hs[i * zd + p],
+                |p| &wht[p * v..(p + 1) * v],
+                logits,
+                v,
+            );
+            let bias = self.store.value(self.heads[s].1).data();
+            for row_logits in logits.chunks_exact_mut(v) {
+                for (x, &b) in row_logits.iter_mut().zip(bias) {
+                    *x += b;
+                }
+            }
+
+            for row in 0..rows {
+                let o = pass.head(s, row);
+                let raw = &pass.logits[o..o + v];
+                let probs = &mut pass.probs[o..o + v];
+                // ENAS-style logit shaping, then the softmax.
+                for (p, &z) in probs.iter_mut().zip(raw) {
+                    *p = self.cfg.tanh_constant * (z / self.cfg.temperature).tanh();
+                }
+                let mx = probs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                for p in probs.iter_mut() {
+                    *p = (*p - mx).exp();
+                }
+                let denom: f32 = probs.iter().sum();
+                for p in probs.iter_mut() {
+                    *p /= denom;
+                }
+                let action = match source {
+                    Source::Draws(draws) => {
+                        let u = draws[row * t_len + s];
+                        let mut acc = 0.0;
+                        let mut a = v - 1;
+                        for (j, &p) in probs.iter().enumerate() {
+                            acc += p;
+                            if u < acc {
+                                a = j;
+                                break;
+                            }
+                        }
+                        a
+                    }
+                    Source::Replay(batch) => batch[row].0.actions[s],
+                };
+                pass.log_prob[row] += (probs[action].max(1e-12) as f64).ln();
+                pass.entropy[row] += -probs
+                    .iter()
+                    .map(|&p| {
+                        if p > 0.0 {
+                            (p as f64) * (p as f64).ln()
+                        } else {
+                            0.0
+                        }
+                    })
+                    .sum::<f64>();
+                pass.actions[row * t_len + s] = action;
+            }
+        }
+        work.pass = Some(Arc::clone(&shared));
+        shared
     }
 
-    /// Samples one action sequence from the current policy.
+    /// Samples one action sequence from the current policy; the same as
+    /// `sample_batch(rng, 1)`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Rollout {
+        self.sample_batch(rng, 1).pop().expect("one rollout")
+    }
+
+    /// Samples `n` action sequences in one lockstep pass. The rollouts
+    /// and the RNG's final position are exactly those of `n` calls of
+    /// [`sample`](Self::sample): every step draws one value whatever its
+    /// probabilities, so the pass draws all `n · T` up front, rollout by
+    /// rollout.
+    pub fn sample_batch<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<Rollout> {
         let _span = yoso_trace::span("controller.sample");
-        let (caches, log_prob, entropy) = self.run(rng, None);
-        Rollout {
-            actions: caches.iter().map(|c| c.action).collect(),
-            log_prob,
-            entropy,
-        }
+        yoso_trace::counter_add("controller.rollouts", n as u64);
+        let draws: Vec<f32> = (0..n * self.cfg.vocab_sizes.len())
+            .map(|_| rng.random())
+            .collect();
+        let mut work = self.work.lock();
+        let pass = self.forward(&mut work, n, Source::Draws(&draws));
+        (0..n)
+            .map(|row| Rollout {
+                actions: pass.actions(row).to_vec(),
+                log_prob: pass.log_prob[row],
+                entropy: pass.entropy[row],
+                pass: Arc::clone(&pass),
+                row,
+            })
+            .collect()
     }
 
     /// REINFORCE update on a batch of `(rollout, reward)` pairs (Eq. 4:
     /// moving-average baseline, entropy bonus).
+    ///
+    /// Backpropagates through the rollouts' own records when every one
+    /// was sampled under the current weights (and its actions are
+    /// unchanged); otherwise it first replays the batch's actions through
+    /// the same lockstep forward pass. Either way the result is the same
+    /// to the bit.
     ///
     /// # Panics
     ///
@@ -282,93 +543,179 @@ impl Controller {
         };
         self.baseline = Some(baseline);
         self.store.zero_grads();
-        let shape = self.shape();
-        let mut entropy_sum = 0.0;
-        for (rollout, reward) in batch {
+        for (rollout, _) in batch {
             assert_eq!(rollout.actions.len(), t_len, "wrong action length");
-            // Replay the forward pass to rebuild caches.
-            let mut dummy = NoRng;
-            let (caches, _, entropy) = self.run(&mut dummy, Some(&rollout.actions));
-            entropy_sum += entropy / t_len as f64;
-            // Advantage: loss = -(R - b) log p - w_e H.
-            let adv = (*reward - baseline) as f32 / batch.len() as f32;
-            let w_e = self.cfg.entropy_weight / batch.len() as f32;
-            let mut dh = vec![0.0f32; self.cfg.hidden];
-            let mut dc = vec![0.0f32; self.cfg.hidden];
-            for s in (0..t_len).rev() {
-                let cache = &caches[s];
-                let v = self.cfg.vocab_sizes[s];
-                let step_entropy: f32 = -cache
-                    .probs
-                    .iter()
-                    .map(|&p| if p > 0.0 { p * p.ln() } else { 0.0 })
-                    .sum::<f32>();
-                // d(loss)/d(logits).
-                let mut dlogits = vec![0.0f32; v];
-                for j in 0..v {
-                    let p = cache.probs[j];
-                    let onehot = if j == cache.action { 1.0 } else { 0.0 };
-                    let d_logp = -adv * (onehot - p); // -(R-b) dlogp
-                    let d_ent = w_e * p * (p.max(1e-12).ln() + step_entropy); // -w_e dH
-                    dlogits[j] = d_logp + d_ent;
-                }
-                // Back through the tanh/temperature shaping.
-                let mut dlogits_raw = vec![0.0f32; v];
-                for j in 0..v {
-                    let t = (cache.logits_raw[j] / self.cfg.temperature).tanh();
-                    dlogits_raw[j] =
-                        dlogits[j] * self.cfg.tanh_constant * (1.0 - t * t) / self.cfg.temperature;
-                }
-                // Head gradients.
-                let (w, b) = self.heads[s];
-                let hdim = self.cfg.hidden;
-                let mut gw = Tensor::zeros(&[v, hdim]);
-                for j in 0..v {
-                    let d = dlogits_raw[j];
-                    if d != 0.0 {
-                        for (slot, hv) in gw.data_mut()[j * hdim..(j + 1) * hdim]
-                            .iter_mut()
-                            .zip(&cache.lstm.h)
-                        {
-                            *slot = d * hv;
-                        }
-                    }
-                }
-                self.store.accumulate_grad(w, &gw);
-                self.store
-                    .accumulate_grad(b, &Tensor::from_vec(&[v], dlogits_raw.clone()));
-                // dh from the head plus the gradient flowing from step s+1.
-                let wd = self.store.value(w).data().to_vec();
-                for j in 0..v {
-                    let d = dlogits_raw[j];
-                    if d != 0.0 {
-                        for (slot, wv) in dh.iter_mut().zip(&wd[j * hdim..(j + 1) * hdim]) {
-                            *slot += d * wv;
-                        }
-                    }
-                }
-                let (dx, dh_prev, dc_prev) =
-                    self.lstm
-                        .backward(&mut self.store, shape, &cache.lstm, &dh, &dc);
-                // Embedding gradient for the action fed into this step.
-                let row = if s == 0 { 0 } else { caches[s - 1].action };
-                let e = self.cfg.embed;
-                let vocab_rows = self.store.value(self.emb[s]).shape()[0];
-                let mut gemb = Tensor::zeros(&[vocab_rows, e]);
-                gemb.data_mut()[row * e..(row + 1) * e].copy_from_slice(&dx);
-                self.store.accumulate_grad(self.emb[s], &gemb);
-                dh = dh_prev;
-                dc = dc_prev;
-            }
         }
+        let mut work = std::mem::take(&mut *self.work.lock());
+        let current = batch.iter().all(|(r, _)| {
+            r.pass.version == self.version && r.pass.actions(r.row) == r.actions.as_slice()
+        });
+        let replay;
+        let rows: Vec<(&Pass, usize)> = if current {
+            batch.iter().map(|(r, _)| (&*r.pass, r.row)).collect()
+        } else {
+            replay = self.forward(&mut work, batch.len(), Source::Replay(batch));
+            (0..batch.len()).map(|row| (&*replay, row)).collect()
+        };
+        let entropy_sum = self.backward(&mut work, &rows, batch, baseline);
+        *self.work.lock() = work;
         let grad_norm = self.store.clip_grad_norm(self.cfg.grad_clip);
         self.opt.step(&mut self.store);
+        self.version = fresh_version();
         UpdateStats {
             mean_reward,
             baseline,
             grad_norm,
             mean_entropy: entropy_sum / batch.len() as f64,
         }
+    }
+
+    /// Backpropagates the REINFORCE loss of `batch` through its records
+    /// (`rows[i]` holds rollout `i`'s pass and row) into the gradient
+    /// buffers, and returns the sum of the rollouts' mean step entropies.
+    ///
+    /// The recurrence runs all rollouts in lockstep, last step first.
+    /// Each parameter still receives its terms in the order of a
+    /// rollout-at-a-time backward pass, rollout by rollout and last step
+    /// first: a head or embedding table is touched by one step only, so
+    /// the lockstep order is already that one, and the LSTM weights,
+    /// which every step touches, are accumulated after the recurrence.
+    fn backward(
+        &mut self,
+        work: &mut Workspace,
+        rows: &[(&Pass, usize)],
+        batch: &[(Rollout, f64)],
+        baseline: f64,
+    ) -> f64 {
+        let shape = self.shape();
+        let (t_len, h, e, zd) = (
+            self.cfg.vocab_sizes.len(),
+            shape.hidden,
+            shape.input,
+            shape.z_width(),
+        );
+        let g4 = 4 * h;
+        let n = rows.len();
+        // Advantage: loss = -(R - b) log p - w_e H.
+        let adv: Vec<f32> = batch
+            .iter()
+            .map(|(_, reward)| (*reward - baseline) as f32 / n as f32)
+            .collect();
+        let w_e = self.cfg.entropy_weight / n as f32;
+        let v_max = self.cfg.vocab_sizes.iter().copied().max().unwrap_or(0);
+        let Workspace {
+            dpre,
+            dz,
+            dh,
+            dc,
+            dl,
+            ..
+        } = work;
+        // `dpre` and `dz` are written before they are read; the
+        // gradients reaching the last step's h and c start at zero.
+        dpre.resize(n * t_len * g4, 0.0);
+        dz.resize(n * zd, 0.0);
+        dh.clear();
+        dh.resize(n * h, 0.0);
+        dc.clear();
+        dc.resize(n * h, 0.0);
+        dl.resize(n * v_max, 0.0);
+        let dpre_at = |i: usize, s: usize| (i * t_len + t_len - 1 - s) * g4;
+        for s in (0..t_len).rev() {
+            let v = self.cfg.vocab_sizes[s];
+            let dl = &mut dl[..n * v];
+            for (i, &(pass, row)) in rows.iter().enumerate() {
+                let o = pass.head(s, row);
+                let probs = &pass.probs[o..o + v];
+                let raw = &pass.logits[o..o + v];
+                let action = pass.actions(row)[s];
+                let step_entropy: f32 = -probs
+                    .iter()
+                    .map(|&p| if p > 0.0 { p * p.ln() } else { 0.0 })
+                    .sum::<f32>();
+                for (j, d) in dl[i * v..(i + 1) * v].iter_mut().enumerate() {
+                    // d(loss)/d(logits), then back through the
+                    // tanh/temperature shaping.
+                    let p = probs[j];
+                    let onehot = if j == action { 1.0 } else { 0.0 };
+                    let d_logp = -adv[i] * (onehot - p); // -(R-b) dlogp
+                    let d_ent = w_e * p * (p.max(1e-12).ln() + step_entropy); // -w_e dH
+                    let dlogit = d_logp + d_ent;
+                    let t = (raw[j] / self.cfg.temperature).tanh();
+                    *d = dlogit * self.cfg.tanh_constant * (1.0 - t * t) / self.cfg.temperature;
+                }
+            }
+            // Head gradients, rollout by rollout.
+            let (w, b) = self.heads[s];
+            gemm_acc::<true>(
+                v,
+                h,
+                n,
+                |j, i| dl[i * v + j],
+                |i| rows[i].0.h_row(s, rows[i].1),
+                self.store.grad_mut(w).data_mut(),
+                h,
+            );
+            let gb = self.store.grad_mut(b).data_mut();
+            for d in dl.chunks_exact(v) {
+                for (g, &x) in gb.iter_mut().zip(d) {
+                    *g += x;
+                }
+            }
+            // dh: the gradient from step s+1 plus the head's.
+            let wd = self.store.value(w).data();
+            gemm_acc::<true>(
+                n,
+                h,
+                v,
+                |i, j| dl[i * v + j],
+                |j| &wd[j * h..(j + 1) * h],
+                dh,
+                h,
+            );
+            for (i, &(pass, row)) in rows.iter().enumerate() {
+                let o = dpre_at(i, s);
+                cell_backward(
+                    pass.gate_row(s, row),
+                    pass.c_row(s + 1, row),
+                    pass.c_row(s, row),
+                    &dh[i * h..(i + 1) * h],
+                    &mut dc[i * h..(i + 1) * h],
+                    &mut dpre[o..o + g4],
+                );
+            }
+            let dp = &*dpre;
+            self.lstm
+                .input_grads(&self.store, shape, n, |i, r| dp[dpre_at(i, s) + r], dz);
+            // Embedding gradient for the action fed into this step; dh
+            // moves on to step s-1.
+            let ge = self.store.grad_mut(self.emb[s]).data_mut();
+            for (i, &(pass, row)) in rows.iter().enumerate() {
+                let a = if s == 0 { 0 } else { pass.actions(row)[s - 1] };
+                for (g, &d) in ge[a * e..(a + 1) * e]
+                    .iter_mut()
+                    .zip(&dz[i * zd..i * zd + e])
+                {
+                    *g += d;
+                }
+                dh[i * h..(i + 1) * h].copy_from_slice(&dz[i * zd + e..(i + 1) * zd]);
+            }
+        }
+        // LSTM weight gradients: rollout by rollout, last step first,
+        // the order `dpre` is laid out in.
+        let z_rows: Vec<&[f32]> = rows
+            .iter()
+            .flat_map(|&(pass, row)| (0..t_len).rev().map(move |s| pass.z_row(s, row)))
+            .collect();
+        self.lstm
+            .accumulate_grads(&mut self.store, shape, &dpre[..n * t_len * g4], |p| {
+                z_rows[p]
+            });
+        let mut entropy_sum = 0.0;
+        for &(pass, row) in rows {
+            entropy_sum += pass.entropy[row] / t_len as f64;
+        }
+        entropy_sum
     }
 }
 
@@ -456,28 +803,10 @@ impl Snapshot for Controller {
         ctrl.store = store;
         ctrl.opt = opt;
         ctrl.baseline = baseline;
+        ctrl.version = fresh_version();
         Ok(ctrl)
     }
 }
-
-/// RNG stub used when replaying forced action sequences: the policy never
-/// draws from it (any seed works; present only to satisfy the signature).
-struct NoRng;
-
-impl rand::TryRng for NoRng {
-    type Error = std::convert::Infallible;
-    fn try_next_u32(&mut self) -> Result<u32, Self::Error> {
-        unreachable!("forced replay must not sample")
-    }
-    fn try_next_u64(&mut self) -> Result<u64, Self::Error> {
-        unreachable!("forced replay must not sample")
-    }
-    fn try_fill_bytes(&mut self, _dst: &mut [u8]) -> Result<(), Self::Error> {
-        unreachable!("forced replay must not sample")
-    }
-}
-
-// `rand::Rng` is blanket-implemented for every `TryRng<Error = Infallible>`.
 
 #[cfg(test)]
 mod tests {
@@ -505,6 +834,146 @@ mod tests {
             }
             assert!(r.log_prob <= 0.0);
             assert!(r.entropy > 0.0);
+        }
+    }
+
+    /// Small configurations whose sizes hit every kernel tile width.
+    fn odd_cfg() -> ControllerConfig {
+        let mut cfg = ControllerConfig::paper_default(vec![3, 9, 2, 17, 5]);
+        cfg.hidden = 13;
+        cfg.embed = 5;
+        cfg.lr = 0.02;
+        cfg
+    }
+
+    fn rewarded(rollouts: Vec<Rollout>) -> Vec<(Rollout, f64)> {
+        rollouts
+            .into_iter()
+            .map(|r| {
+                let reward = r.actions.iter().sum::<usize>() as f64 / 7.0;
+                (r, reward)
+            })
+            .collect()
+    }
+
+    /// A copy of `r` whose records are never current, so `update`
+    /// replays its actions.
+    fn without_records(r: &Rollout) -> Rollout {
+        Rollout {
+            pass: Arc::new(Pass::default()),
+            row: 0,
+            ..r.clone()
+        }
+    }
+
+    fn snapshot_bytes(ctrl: &Controller) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        ctrl.snapshot(&mut w);
+        w.into_bytes()
+    }
+
+    fn stats_bits(s: UpdateStats) -> [u64; 4] {
+        [
+            s.mean_reward.to_bits(),
+            s.baseline.to_bits(),
+            s.grad_norm.to_bits() as u64,
+            s.mean_entropy.to_bits(),
+        ]
+    }
+
+    /// Updates one clone of `ctrl` on `batch` and another on its
+    /// replayed copy: statistics and weights must agree to the bit. The
+    /// first clone must have read the records, not run a forward pass,
+    /// exactly when `from_records`.
+    fn assert_update_matches_replay(
+        ctrl: &Controller,
+        batch: &[(Rollout, f64)],
+        from_records: bool,
+    ) {
+        let replayed: Vec<(Rollout, f64)> = batch
+            .iter()
+            .map(|(r, reward)| (without_records(r), *reward))
+            .collect();
+        let (mut a, mut b) = (ctrl.clone(), ctrl.clone());
+        assert_eq!(stats_bits(a.update(batch)), stats_bits(b.update(&replayed)));
+        assert_eq!(snapshot_bytes(&a), snapshot_bytes(&b));
+        // A clone starts with an empty workspace; only a forward pass
+        // leaves one there.
+        assert_eq!(a.work.lock().pass.is_none(), from_records);
+    }
+
+    #[test]
+    fn sample_batch_equals_sequential_samples() {
+        for cfg in [small_cfg(), odd_cfg()] {
+            let ctrl = Controller::new(cfg);
+            for n in [1, 3, 6] {
+                let mut batch_rng = StdRng::seed_from_u64(40 + n as u64);
+                let mut seq_rng = batch_rng.clone();
+                let batch = ctrl.sample_batch(&mut batch_rng, n);
+                let seq: Vec<Rollout> = (0..n).map(|_| ctrl.sample(&mut seq_rng)).collect();
+                assert_eq!(batch, seq);
+                for (b, s) in batch.iter().zip(&seq) {
+                    assert_eq!(b.log_prob.to_bits(), s.log_prob.to_bits());
+                    assert_eq!(b.entropy.to_bits(), s.entropy.to_bits());
+                }
+                assert_eq!(
+                    batch_rng.random::<u64>(),
+                    seq_rng.random::<u64>(),
+                    "the batch left the RNG elsewhere"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stale_batch_updates_like_a_replay() {
+        for cfg in [small_cfg(), odd_cfg()] {
+            let mut ctrl = Controller::new(cfg);
+            let mut rng = StdRng::seed_from_u64(5);
+            let stale = rewarded(ctrl.sample_batch(&mut rng, 5));
+            // The weights move on after `stale` was sampled.
+            let fresh = rewarded(ctrl.sample_batch(&mut rng, 4));
+            ctrl.update(&fresh);
+            assert_update_matches_replay(&ctrl, &stale, false);
+        }
+    }
+
+    #[test]
+    fn subset_of_a_batch_updates_like_a_replay() {
+        for cfg in [small_cfg(), odd_cfg()] {
+            let mut ctrl = Controller::new(cfg);
+            let mut rng = StdRng::seed_from_u64(6);
+            for _ in 0..3 {
+                let batch = rewarded(ctrl.sample_batch(&mut rng, 4));
+                ctrl.update(&batch);
+            }
+            let batch = rewarded(ctrl.sample_batch(&mut rng, 6));
+            let other = rewarded(ctrl.sample_batch(&mut rng, 3));
+            let pick = |ids: &[(usize, bool)]| -> Vec<(Rollout, f64)> {
+                ids.iter()
+                    .map(|&(i, first)| {
+                        if first {
+                            batch[i].clone()
+                        } else {
+                            other[i].clone()
+                        }
+                    })
+                    .collect()
+            };
+            assert_update_matches_replay(&ctrl, &batch, true);
+            // A quarantine-style subset, a reordered one, and rows of
+            // two passes sampled under the same weights.
+            assert_update_matches_replay(&ctrl, &pick(&[(0, true), (2, true), (5, true)]), true);
+            assert_update_matches_replay(&ctrl, &pick(&[(4, true), (1, true)]), true);
+            assert_update_matches_replay(
+                &ctrl,
+                &pick(&[(1, true), (0, false), (3, true), (2, false)]),
+                true,
+            );
+            // Edited actions no longer match the records: replayed too.
+            let mut edited = batch[0].clone();
+            edited.0.actions[1] = (edited.0.actions[1] + 1) % ctrl.cfg.vocab_sizes[1];
+            assert_update_matches_replay(&ctrl, &[edited], false);
         }
     }
 

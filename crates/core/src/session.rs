@@ -624,11 +624,13 @@ impl<'a> SearchSession<'a> {
                     },
                 ),
         );
-        let (samples, sample_ms) = hist_delta("controller.sample");
+        // One `controller.sample` span times a whole batch, so the
+        // rollout count comes from its own counter.
+        let (_, sample_ms) = hist_delta("controller.sample");
         let (updates, update_ms) = hist_delta("controller.update");
         self.trace.emit(
             Event::new("controller_summary")
-                .with_u64("samples", samples)
+                .with_u64("samples", delta("controller.rollouts"))
                 .with_f64("sample_ms", sample_ms)
                 .with_u64("updates", updates)
                 .with_f64("update_ms", update_ms),
@@ -879,7 +881,8 @@ impl<'a> SearchSession<'a> {
     /// Step 1 of the loop: the next batch of candidates.
     ///
     /// * RL samples `rollouts_per_update` rollouts (fewer for the last
-    ///   batch); their action sequences come back alongside the points.
+    ///   batch) in one lockstep pass; the rollouts come back alongside
+    ///   the points, and the update learns from their records.
     /// * Regularized evolution (Real et al., the AmoebaNet method cited
     ///   as \[9\]) proposes one point: random until the population has
     ///   filled, then a single-symbol mutation of a tournament winner.
@@ -898,7 +901,7 @@ impl<'a> SearchSession<'a> {
         match &mut state.controller {
             Some(controller) => {
                 let n = cfg.rollouts_per_update.min(cfg.iterations - history.len());
-                let rollouts: Vec<Rollout> = (0..n).map(|_| controller.sample(rng)).collect();
+                let rollouts = controller.sample_batch(rng, n);
                 let points = rollouts
                     .iter()
                     .map(|r| space.decode(&r.actions))

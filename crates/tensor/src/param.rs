@@ -78,6 +78,12 @@ impl ParamStore {
         &self.entries[id.0].grad
     }
 
+    /// Mutable access to a parameter gradient, for callers that
+    /// accumulate into it in place.
+    pub fn grad_mut(&mut self, id: ParamId) -> &mut Tensor {
+        &mut self.entries[id.0].grad
+    }
+
     /// Accumulates `g` into the gradient of `id`.
     ///
     /// # Panics
@@ -165,6 +171,8 @@ mod tests {
         s.accumulate_grad(id, &Tensor::from_vec(&[2], vec![1.0, 2.0]));
         s.accumulate_grad(id, &Tensor::from_vec(&[2], vec![1.0, 2.0]));
         assert_eq!(s.grad(id).data(), &[2.0, 4.0]);
+        s.grad_mut(id).data_mut()[1] += 0.5;
+        assert_eq!(s.grad(id).data(), &[2.0, 4.5]);
         s.zero_grads();
         assert_eq!(s.grad(id).sum(), 0.0);
     }

@@ -651,3 +651,47 @@ fn resilient_client_survives_network_chaos_byte_identically() {
     );
     server.shutdown();
 }
+
+/// A finished job's whole replay reaches a `ResilientClient` ahead of
+/// the subscribe reply. When a network fault cuts the connection before
+/// that reply, the replayed events already received must still count,
+/// or a replay longer than the link survives between faults never
+/// completes.
+#[test]
+fn resilient_client_keeps_replayed_events_of_a_finished_job() {
+    let _guard = serial();
+    let spec = spec("replayer", 30, 4242);
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let mut clean = Client::connect(server.addr()).unwrap();
+    let job = clean.submit(&spec, true).unwrap();
+    let (clean_lines, done) = clean.wait_done(job).unwrap();
+    assert_eq!(done.state, JobState::Completed);
+
+    let mut plan = FaultPlan::new(2024);
+    plan.rules.push(FaultRule::rate(FaultKind::ConnDrop, 0.04));
+    plan.rules
+        .push(FaultRule::rate(FaultKind::PartialWrite, 0.04));
+    plan.rules
+        .push(FaultRule::rate(FaultKind::GarbageFrame, 0.08));
+    yoso::chaos::install(&plan);
+    let mut rc = ResilientClient::new(
+        server.addr().to_string(),
+        RetryPolicy {
+            max_retries: 30,
+            base_delay: std::time::Duration::from_millis(5),
+            max_delay: std::time::Duration::from_millis(100),
+            seed: 99,
+        },
+    );
+    let collected = rc.wait_done(job);
+    yoso::chaos::disarm();
+
+    let (lines, done) = collected.unwrap();
+    assert_eq!(done.state, JobState::Completed);
+    assert_eq!(
+        search_iter_lines(&lines),
+        search_iter_lines(&clean_lines),
+        "replayed stream diverged (lost or duplicated events)"
+    );
+    server.shutdown();
+}

@@ -11,8 +11,14 @@
 //! tiling search, by far the hottest loop in the evaluation path.
 //!
 //! The cache is sharded: each shard is an independent `RwLock`-guarded
-//! map selected by key hash, so concurrent pool workers rarely contend
-//! on the same lock. Hits take a read lock only.
+//! open-addressed table, so concurrent pool workers rarely contend on
+//! the same lock. A lookup hashes the borrowed inputs once: the hash
+//! picks the shard and the first slot to probe, and a tag byte per slot
+//! (seven hash bits) means a probe compares a stored key, in place, only
+//! when its tag matches. A hit takes a read lock only and builds no key;
+//! the owned key is built on insert. Per entry the table holds what a
+//! `HashMap` of the entries holds — one control byte and one
+//! `(key, report)` slot — and it grows by doubling at the same 7/8 load.
 //!
 //! # Key / invalidation
 //!
@@ -33,8 +39,9 @@ use crate::report::LayerReport;
 use crate::sim::Fidelity;
 use parking_lot::RwLock;
 use std::cell::RefCell;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use yoso_arch::{HwConfig, LayerSpec};
@@ -46,8 +53,9 @@ const SHARDS: usize = 16;
 /// Entries per shard before the shard is dropped wholesale.
 pub const SHARD_CAPACITY: usize = 65_536;
 
-/// The full input of a layer simulation, quantized for hashing.
-#[derive(Clone, PartialEq, Eq, Hash)]
+/// The full input of a layer simulation, quantized for hashing: what an
+/// entry stores.
+#[derive(Clone)]
 struct CacheKey {
     layer: LayerSpec,
     hw: HwConfig,
@@ -55,6 +63,44 @@ struct CacheKey {
     input_onchip: bool,
     output_onchip: bool,
     cost_bits: [u64; 11],
+}
+
+/// The same input borrowed from the caller: what a lookup hashes and
+/// compares, so a hit builds no key.
+#[derive(Clone, Copy, PartialEq, Hash)]
+struct KeyRef<'a> {
+    layer: &'a LayerSpec,
+    hw: &'a HwConfig,
+    fidelity: Fidelity,
+    input_onchip: bool,
+    output_onchip: bool,
+    cost_bits: [u64; 11],
+}
+
+impl CacheKey {
+    fn as_ref(&self) -> KeyRef<'_> {
+        KeyRef {
+            layer: &self.layer,
+            hw: &self.hw,
+            fidelity: self.fidelity,
+            input_onchip: self.input_onchip,
+            output_onchip: self.output_onchip,
+            cost_bits: self.cost_bits,
+        }
+    }
+}
+
+impl KeyRef<'_> {
+    fn to_key(self) -> CacheKey {
+        CacheKey {
+            layer: self.layer.clone(),
+            hw: *self.hw,
+            fidelity: self.fidelity,
+            input_onchip: self.input_onchip,
+            output_onchip: self.output_onchip,
+            cost_bits: self.cost_bits,
+        }
+    }
 }
 
 fn cost_bits(c: &CostModel) -> [u64; 11] {
@@ -145,11 +191,118 @@ impl std::fmt::Display for CacheStats {
     }
 }
 
+/// Tag of an empty slot; an occupied slot's tag has its high bit set.
+const EMPTY: u8 = 0;
+
+/// The seven top hash bits, which neither the slot index nor the shard
+/// index uses.
+fn tag_of(hash: u64) -> u8 {
+    0x80 | (hash >> 57) as u8
+}
+
+/// One shard: an open-addressed table with linear probing. Nothing is
+/// ever removed singly (only [`Shard::clear`]), so a probe ends at the
+/// first empty slot, and the 7/8 load bound keeps one free.
+#[derive(Default)]
+struct Shard {
+    tags: Vec<u8>,
+    slots: Vec<Option<(CacheKey, LayerReport)>>,
+    len: usize,
+}
+
+impl Shard {
+    /// Entries the current slot count holds before it doubles.
+    fn capacity(&self) -> usize {
+        match self.slots.len() {
+            n if n < 8 => n.saturating_sub(1),
+            n => n / 8 * 7,
+        }
+    }
+
+    /// `Ok(slot)` holding `key`, or `Err(slot)`: the empty slot where it
+    /// goes. The table must have slots.
+    fn probe(&self, hash: u64, key: KeyRef<'_>) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let tag = tag_of(hash);
+        let mut i = hash as usize & mask;
+        loop {
+            match self.tags[i] {
+                EMPTY => return Err(i),
+                t if t == tag => {
+                    if let Some((stored, _)) = &self.slots[i] {
+                        if stored.as_ref() == key {
+                            return Ok(i);
+                        }
+                    }
+                }
+                _ => {}
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn get(&self, hash: u64, key: KeyRef<'_>) -> Option<&LayerReport> {
+        if self.len == 0 {
+            return None;
+        }
+        let slot = self.probe(hash, key).ok()?;
+        self.slots[slot].as_ref().map(|(_, report)| report)
+    }
+
+    /// Inserts unless `key` is present (a racing worker computed the
+    /// same pure function, so either value is identical), first dropping
+    /// a full shard wholesale. `rehash` recomputes a stored key's hash
+    /// when the table doubles.
+    fn insert(
+        &mut self,
+        hash: u64,
+        key: KeyRef<'_>,
+        report: &LayerReport,
+        rehash: impl Fn(KeyRef<'_>) -> u64,
+    ) {
+        if self.len >= SHARD_CAPACITY {
+            self.clear();
+        }
+        if self.len == self.capacity() {
+            self.grow(rehash);
+        }
+        if let Err(slot) = self.probe(hash, key) {
+            self.tags[slot] = tag_of(hash);
+            self.slots[slot] = Some((key.to_key(), report.clone()));
+            self.len += 1;
+        }
+    }
+
+    fn grow(&mut self, rehash: impl Fn(KeyRef<'_>) -> u64) {
+        let n = (self.slots.len() * 2).max(4);
+        let old = std::mem::take(&mut self.slots);
+        self.tags = vec![EMPTY; n];
+        self.slots = (0..n).map(|_| None).collect();
+        for (key, report) in old.into_iter().flatten() {
+            let hash = rehash(key.as_ref());
+            let mut i = hash as usize & (n - 1);
+            while self.tags[i] != EMPTY {
+                i = (i + 1) & (n - 1);
+            }
+            self.tags[i] = tag_of(hash);
+            self.slots[i] = Some((key, report));
+        }
+    }
+
+    /// Empties the shard, keeping its slots allocated.
+    fn clear(&mut self) {
+        self.tags.fill(EMPTY);
+        self.slots.iter_mut().for_each(|slot| *slot = None);
+        self.len = 0;
+    }
+}
+
 /// A sharded memoization map for layer simulations. One process-global
 /// instance backs [`crate::Simulator`]; independent instances exist only
 /// in tests.
-struct SimCache {
-    shards: Vec<RwLock<HashMap<CacheKey, LayerReport>>>,
+struct SimCache<S = RandomState> {
+    shards: Vec<RwLock<Shard>>,
+    hasher: S,
     hits: AtomicU64,
     misses: AtomicU64,
     contended_reads: AtomicU64,
@@ -158,8 +311,15 @@ struct SimCache {
 
 impl SimCache {
     fn new() -> Self {
+        Self::with_hasher(RandomState::new())
+    }
+}
+
+impl<S: BuildHasher> SimCache<S> {
+    fn with_hasher(hasher: S) -> Self {
         SimCache {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| RwLock::new(Shard::default())).collect(),
+            hasher,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             contended_reads: AtomicU64::new(0),
@@ -167,41 +327,36 @@ impl SimCache {
         }
     }
 
-    fn shard_of(key: &CacheKey) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) & (SHARDS - 1)
+    fn hash(&self, key: KeyRef<'_>) -> u64 {
+        self.hasher.hash_one(key)
     }
 
-    fn lookup_or_simulate(
-        &self,
-        key: CacheKey,
-        simulate: impl FnOnce() -> LayerReport,
-    ) -> LayerReport {
-        let shard = &self.shards[Self::shard_of(&key)];
+    /// The shard for a hash: bits the slot index and the tag leave alone.
+    fn shard(&self, hash: u64) -> &RwLock<Shard> {
+        &self.shards[(hash >> 32) as usize & (SHARDS - 1)]
+    }
+
+    fn lookup(&self, key: KeyRef<'_>, simulate: impl FnOnce() -> LayerReport) -> LayerReport {
+        let hash = self.hash(key);
+        let shard = self.shard(hash);
         // Fast path tries the lock first so shard contention is observable
         // (a failed try is counted, then we block as before).
         let guard = shard.try_read().unwrap_or_else(|| {
             self.contended_reads.fetch_add(1, Ordering::Relaxed);
             shard.read()
         });
-        if let Some(report) = guard.get(&key) {
+        if let Some(report) = guard.get(hash, key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return report.clone();
         }
         drop(guard);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let report = simulate();
-        let mut map = shard.try_write().unwrap_or_else(|| {
+        let mut table = shard.try_write().unwrap_or_else(|| {
             self.contended_writes.fetch_add(1, Ordering::Relaxed);
             shard.write()
         });
-        if map.len() >= SHARD_CAPACITY {
-            map.clear();
-        }
-        // A racing worker may have inserted meanwhile; both computed the
-        // same pure function, so either value is identical.
-        map.insert(key, report.clone());
+        table.insert(hash, key, &report, |k| self.hash(k));
         report
     }
 
@@ -209,7 +364,7 @@ impl SimCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.shards.iter().map(|s| s.read().len()).sum(),
+            entries: self.shards.iter().map(|s| s.read().len).sum(),
             contended_reads: self.contended_reads.load(Ordering::Relaxed),
             contended_writes: self.contended_writes.load(Ordering::Relaxed),
         }
@@ -229,12 +384,7 @@ impl SimCache {
         let entries: Vec<(CacheKey, LayerReport)> = self
             .shards
             .iter()
-            .flat_map(|s| {
-                s.read()
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect::<Vec<_>>()
-            })
+            .flat_map(|s| s.read().slots.iter().flatten().cloned().collect::<Vec<_>>())
             .collect();
         w.put_usize(entries.len());
         for (key, report) in &entries {
@@ -249,12 +399,10 @@ impl SimCache {
         for _ in 0..n {
             let key = CacheKey::restore(r)?;
             let report = LayerReport::restore(r)?;
-            let shard = &self.shards[Self::shard_of(&key)];
-            let mut map = shard.write();
-            if map.len() >= SHARD_CAPACITY {
-                map.clear();
-            }
-            map.insert(key, report);
+            let hash = self.hash(key.as_ref());
+            self.shard(hash)
+                .write()
+                .insert(hash, key.as_ref(), &report, |k| self.hash(k));
             inserted += 1;
         }
         Ok(inserted)
@@ -410,9 +558,9 @@ pub(crate) fn lookup_or_simulate(
     output_onchip: bool,
     simulate: impl FnOnce() -> LayerReport,
 ) -> LayerReport {
-    let key = CacheKey {
-        layer: layer.clone(),
-        hw: *hw,
+    let key = KeyRef {
+        layer,
+        hw,
         fidelity,
         input_onchip,
         output_onchip,
@@ -421,7 +569,7 @@ pub(crate) fn lookup_or_simulate(
     // Tenant attribution piggybacks on the miss closure: if `simulate`
     // ran, this lookup was a miss; otherwise it was served from cache.
     let mut missed = false;
-    let report = global().lookup_or_simulate(key, || {
+    let report = global().lookup(key, || {
         missed = true;
         simulate()
     });
@@ -488,6 +636,17 @@ mod tests {
             gbuf_kb: 64,
             rbuf_bytes: 256,
             dataflow: Dataflow::Ws,
+        }
+    }
+
+    impl<S: BuildHasher> SimCache<S> {
+        /// [`SimCache::lookup`] for a key the test owns.
+        fn lookup_or_simulate(
+            &self,
+            key: CacheKey,
+            simulate: impl FnOnce() -> LayerReport,
+        ) -> LayerReport {
+            self.lookup(key.as_ref(), simulate)
         }
     }
 
@@ -574,16 +733,86 @@ mod tests {
         let report = sim.simulate_layer(&layer, &hw, false, false);
         // Force one shard to the brink, then insert into it again.
         let key = key_for(&sim, &layer, &hw);
-        let shard_idx = SimCache::shard_of(&key);
-        cache.shards[shard_idx]
-            .write()
-            .extend((0..SHARD_CAPACITY).map(|i| {
-                let mut k = key.clone();
-                k.layer.name = format!("filler-{i}");
-                (k, report.clone())
-            }));
+        let hash = cache.hash(key.as_ref());
+        {
+            let mut table = cache.shard(hash).write();
+            let mut filler = key.clone();
+            for i in 0..SHARD_CAPACITY {
+                filler.layer.name = format!("filler-{i}");
+                let k = filler.as_ref();
+                table.insert(cache.hash(k), k, &report, |k| cache.hash(k));
+            }
+            assert_eq!(table.len, SHARD_CAPACITY);
+        }
         cache.lookup_or_simulate(key, || report.clone());
         assert!(cache.stats().entries <= SHARD_CAPACITY);
+    }
+
+    /// Hashes every key to one value, so every key lands in one shard
+    /// and starts its probe at one slot with one tag.
+    #[derive(Default)]
+    struct OneHash;
+
+    impl std::hash::Hasher for OneHash {
+        fn finish(&self) -> u64 {
+            0x9e37_79b9_7f4a_7c15
+        }
+
+        fn write(&mut self, _: &[u8]) {}
+    }
+
+    #[test]
+    fn colliding_keys_never_alias() {
+        let cache = SimCache::with_hasher(std::hash::BuildHasherDefault::<OneHash>::default());
+        let exact = Simulator::exact();
+        let hw = test_hw();
+        let a = test_layer("same-shape", 32);
+        let mut b = a.clone();
+        b.name = "other-name".into();
+        // Keys differing from the first in one field (name, input
+        // residency), plus enough others to double the table twice with
+        // every key on one probe chain.
+        let mut keys: Vec<CacheKey> = [&a, &b]
+            .into_iter()
+            .map(|l| key_for(&exact, l, &hw))
+            .collect();
+        let mut onchip = key_for(&exact, &a, &hw);
+        onchip.input_onchip = true;
+        keys.push(onchip);
+        keys.extend((0..7).map(|i| key_for(&exact, &test_layer("c", 8 + i), &hw)));
+        let hashes: Vec<u64> = keys.iter().map(|k| cache.hash(k.as_ref())).collect();
+        assert!(hashes.iter().all(|&h| h == hashes[0]));
+
+        let simulate =
+            |k: &CacheKey| exact.simulate_layer(&k.layer, &k.hw, k.input_onchip, k.output_onchip);
+        for (i, key) in keys.iter().enumerate() {
+            let miss = cache.lookup_or_simulate(key.clone(), || simulate(key));
+            assert_eq!(miss, simulate(key));
+            let s = cache.stats();
+            assert_eq!(
+                (s.hits, s.misses, s.entries),
+                (i as u64, i as u64 + 1, i + 1)
+            );
+            let hit = cache.lookup_or_simulate(key.clone(), || panic!("key {i} missed twice"));
+            assert_eq!(hit, miss);
+            assert_eq!(cache.stats().hits, i as u64 + 1);
+        }
+        // Each key still finds its own report after the table grew.
+        for key in &keys {
+            let hit = cache.lookup_or_simulate(key.clone(), || panic!("entry lost"));
+            assert_eq!(hit, simulate(key));
+        }
+        assert_ne!(simulate(&keys[0]).name, simulate(&keys[1]).name);
+        assert_ne!(simulate(&keys[0]), simulate(&keys[2]));
+    }
+
+    /// A slot costs what a `HashMap` bucket of the same entry costs.
+    #[test]
+    fn empty_slots_cost_no_extra_bytes() {
+        assert_eq!(
+            std::mem::size_of::<Option<(CacheKey, LayerReport)>>(),
+            std::mem::size_of::<(CacheKey, LayerReport)>()
+        );
     }
 
     // The global path: delta-based assertions only (other tests in this

@@ -12,7 +12,9 @@
 //! 2. **Load phase** — `--tenants` x `--sessions` concurrent client
 //!    connections (default 8 x 13 = 104) each submit one streaming job
 //!    and collect its live `search_iter` events. Zero lost jobs, every
-//!    stream complete, p99 inter-event latency measured client-side.
+//!    stream complete; client-side, the gap between consecutive
+//!    `search_iter` arrivals and the time from sending the submit to the
+//!    first one.
 //!
 //! 3. **Journal phase** (in-process mode only) — the same job batch
 //!    runs against a journal-free server and a crash-consistent one
@@ -22,8 +24,9 @@
 //!    a restart on the populated root must recover every job (the
 //!    measured recovery time is reported).
 //!
-//! Writes `BENCH_server.json` (jobs/sec, p99 iteration latency, hit
-//! rate vs tenant count, journal overhead & recovery time) into
+//! Writes `BENCH_server.json` (jobs/sec, inter-event gap and
+//! submit-to-first-event p50/p99, hit rate vs tenant count, journal
+//! overhead & recovery time) into
 //! [`yoso_bench::results_dir`].
 //!
 //! With `--addr HOST:PORT` the in-process server is skipped and the
@@ -66,26 +69,34 @@ fn spec_for(tenant: &str, reward: RewardConfig, iterations: usize, seed: u64) ->
     spec
 }
 
+/// One streamed job as its client saw it.
+struct Streamed {
+    /// Gaps between consecutive event frames, in ms, each taken at a
+    /// `search_iter` arrival (the first from the submit ack).
+    gaps: Vec<f64>,
+    /// Submit sent → first `search_iter` arrival, in ms.
+    first_event: Option<f64>,
+}
+
 /// Runs one streaming job to completion, timestamping each event frame
-/// as it arrives. Returns (streamed lines, inter-event deltas in ms).
-fn drive_job(
-    addr: SocketAddr,
-    spec: &JobSpec,
-    expect_iters: usize,
-) -> Result<(Vec<String>, Vec<f64>), Error> {
+/// as it arrives.
+fn drive_job(addr: SocketAddr, spec: &JobSpec, expect_iters: usize) -> Result<Streamed, Error> {
     let err = |e: yoso_client::ClientError| Error::InvalidConfig(format!("loadgen client: {e}"));
     let mut client = Client::connect(addr).map_err(err)?;
+    let submitted = Instant::now();
     let job = client.submit(spec, true).map_err(err)?;
-    let mut lines = Vec::new();
-    let mut deltas = Vec::new();
+    let mut iters = 0usize;
+    let mut gaps = Vec::new();
+    let mut first_event = None;
     let mut last = Instant::now();
     loop {
         match client.next_event().map_err(err)? {
             Reply::Event { line, .. } => {
                 let now = Instant::now();
                 if line.starts_with("{\"event\":\"search_iter\"") {
-                    deltas.push(now.duration_since(last).as_secs_f64() * 1e3);
-                    lines.push(line);
+                    gaps.push(now.duration_since(last).as_secs_f64() * 1e3);
+                    first_event.get_or_insert(now.duration_since(submitted).as_secs_f64() * 1e3);
+                    iters += 1;
                 }
                 last = now;
             }
@@ -98,13 +109,12 @@ fn drive_job(
                         done.error.unwrap_or_default()
                     )));
                 }
-                if lines.len() != expect_iters {
+                if iters != expect_iters {
                     return Err(Error::InvalidConfig(format!(
-                        "job {job} streamed {} search_iter events, expected {expect_iters}",
-                        lines.len()
+                        "job {job} streamed {iters} search_iter events, expected {expect_iters}"
                     )));
                 }
-                return Ok((lines, deltas));
+                return Ok(Streamed { gaps, first_event });
             }
             other => {
                 return Err(Error::InvalidConfig(format!(
@@ -242,14 +252,16 @@ fn real_main() -> Result<(), Error> {
             }));
         }
     }
-    let mut deltas: Vec<f64> = Vec::with_capacity(total_jobs * iterations);
+    let mut gaps: Vec<f64> = Vec::with_capacity(total_jobs * iterations);
+    let mut firsts: Vec<f64> = Vec::with_capacity(total_jobs);
     let mut completed = 0usize;
     let mut failures: Vec<String> = Vec::new();
     for handle in handles {
         match handle.join() {
-            Ok(Ok((_, mut d))) => {
+            Ok(Ok(mut job)) => {
                 completed += 1;
-                deltas.append(&mut d);
+                gaps.append(&mut job.gaps);
+                firsts.extend(job.first_event);
             }
             Ok(Err(e)) => failures.push(e.to_string()),
             Err(_) => failures.push("client thread panicked".to_string()),
@@ -264,11 +276,14 @@ fn real_main() -> Result<(), Error> {
         )));
     }
     let jobs_per_sec = completed as f64 / wall_s.max(1e-9);
-    deltas.sort_by(|a, b| a.total_cmp(b));
-    let p50 = percentile(&deltas, 0.50);
-    let p99 = percentile(&deltas, 0.99);
+    gaps.sort_by(|a, b| a.total_cmp(b));
+    firsts.sort_by(|a, b| a.total_cmp(b));
+    let (gap_p50, gap_p99) = (percentile(&gaps, 0.50), percentile(&gaps, 0.99));
+    let (first_p50, first_p99) = (percentile(&firsts, 0.50), percentile(&firsts, 0.99));
     println!(
-        "  {completed}/{total_jobs} jobs in {wall_s:.2}s = {jobs_per_sec:.1} jobs/s; iter latency p50 {p50:.2} ms, p99 {p99:.2} ms"
+        "  {completed}/{total_jobs} jobs in {wall_s:.2}s = {jobs_per_sec:.1} jobs/s; \
+         inter-event gap p50 {gap_p50:.2} ms, p99 {gap_p99:.2} ms; \
+         submit to first event p50 {first_p50:.2} ms, p99 {first_p99:.2} ms"
     );
 
     // Server-side accounting for the load phase, then a graceful stop
@@ -396,8 +411,9 @@ fn real_main() -> Result<(), Error> {
         .collect();
     let meta = bench_meta_json(2);
     let json = format!(
-        "{{\n  \"bench\": \"server load\",\n  {meta},\n  \"config\": {{\n    \"tenants\": {tenants},\n    \"sessions_per_tenant\": {sessions},\n    \"iterations_per_job\": {iterations},\n    \"max_concurrent_jobs\": {max_jobs}\n  }},\n  \"throughput\": {{\n    \"jobs\": {completed},\n    \"lost_jobs\": 0,\n    \"wall_s\": {wall_s:.3},\n    \"jobs_per_sec\": {jobs_per_sec:.2}\n  }},\n  \"iteration_latency_ms\": {{\n    \"events\": {},\n    \"p50\": {p50:.3},\n    \"p99\": {p99:.3}\n  }},\n  \"cache\": {{\n    \"process_hits\": {},\n    \"process_misses\": {},\n    \"hit_rate_by_tenant_count\": [\n{}\n    ],\n    \"strictly_increasing\": {strictly_increasing}\n  }},\n  \"journal\": {journal_json}\n}}\n",
-        deltas.len(),
+        "{{\n  \"bench\": \"server load\",\n  {meta},\n  \"config\": {{\n    \"tenants\": {tenants},\n    \"sessions_per_tenant\": {sessions},\n    \"iterations_per_job\": {iterations},\n    \"max_concurrent_jobs\": {max_jobs}\n  }},\n  \"throughput\": {{\n    \"jobs\": {completed},\n    \"lost_jobs\": 0,\n    \"wall_s\": {wall_s:.3},\n    \"jobs_per_sec\": {jobs_per_sec:.2}\n  }},\n  \"inter_event_gap_ms\": {{\n    \"events\": {},\n    \"p50\": {gap_p50:.3},\n    \"p99\": {gap_p99:.3}\n  }},\n  \"submit_to_first_event_ms\": {{\n    \"jobs\": {},\n    \"p50\": {first_p50:.3},\n    \"p99\": {first_p99:.3}\n  }},\n  \"cache\": {{\n    \"process_hits\": {},\n    \"process_misses\": {},\n    \"hit_rate_by_tenant_count\": [\n{}\n    ],\n    \"strictly_increasing\": {strictly_increasing}\n  }},\n  \"journal\": {journal_json}\n}}\n",
+        gaps.len(),
+        firsts.len(),
         server_stats.cache_hits,
         server_stats.cache_misses,
         phases_json.join(",\n"),

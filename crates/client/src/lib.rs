@@ -157,6 +157,15 @@ impl Client {
         })
     }
 
+    /// Writes one request frame and its newline in one `write_all`: on
+    /// this no-delay socket, two writes would be two segments.
+    fn send(&mut self, req: &Request) -> Result<(), ClientError> {
+        let mut line = req.to_json();
+        line.push('\n');
+        self.writer.write_all(line.as_bytes())?;
+        Ok(())
+    }
+
     fn read_frame(&mut self) -> Result<Reply, ClientError> {
         let mut line = String::new();
         loop {
@@ -175,10 +184,7 @@ impl Client {
             match Reply::parse(trimmed)? {
                 // Heartbeat probe: answer and keep reading. Every call
                 // that reads frames stays heartbeat-transparent.
-                Reply::Ping => {
-                    writeln!(self.writer, "{}", Request::Pong.to_json())?;
-                    self.writer.flush()?;
-                }
+                Reply::Ping => self.send(&Request::Pong)?,
                 reply => return Ok(reply),
             }
         }
@@ -192,8 +198,7 @@ impl Client {
     ///
     /// Transport, decode, or server-refusal errors.
     pub fn request(&mut self, req: &Request) -> Result<Reply, ClientError> {
-        writeln!(self.writer, "{}", req.to_json())?;
-        self.writer.flush()?;
+        self.send(req)?;
         loop {
             match self.read_frame()? {
                 frame @ (Reply::Event { .. } | Reply::Done(_)) => self.pending.push_back(frame),

@@ -9,7 +9,7 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use yoso_accel::Simulator;
-use yoso_arch::{DesignPoint, Genotype, NetworkSkeleton};
+use yoso_arch::{DesignPoint, Genotype, NetworkPlan, NetworkSkeleton};
 use yoso_dataset::SynthCifar;
 use yoso_hypernet::{HyperNet, HyperTrainConfig};
 use yoso_nn::{CellNetwork, QuantizedNetwork, TrainConfig};
@@ -548,20 +548,25 @@ impl SurrogateEvaluator {
 
     /// The accuracy model, exposed for tests.
     pub fn surrogate_accuracy(&self, point: &DesignPoint) -> f64 {
-        let plan = self.skeleton.compile(&point.genotype);
-        let stats = plan.stats;
-        let macs = stats.total_macs as f64;
-        let size_term = 1.0 - (-macs / 25.0e6).exp();
-        let total = stats.total_macs.max(1) as f64;
-        let conv_frac = stats.conv_macs as f64 / total;
-        let dw_frac = stats.dw_macs as f64 / total;
-        // Small deterministic jitter so equal-capacity genotypes differ.
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        use std::hash::{Hash, Hasher};
-        point.genotype.hash(&mut h);
-        let jitter = ((h.finish() % 1000) as f64 / 1000.0 - 0.5) * 0.02;
-        (0.38 + 0.5 * size_term + 0.05 * conv_frac + 0.03 * dw_frac + jitter).clamp(0.1, 0.97)
+        plan_accuracy(&self.skeleton.compile(&point.genotype))
     }
+}
+
+/// [`SurrogateEvaluator::surrogate_accuracy`] of a compiled plan, so
+/// `evaluate` compiles each genotype once.
+fn plan_accuracy(plan: &NetworkPlan) -> f64 {
+    let stats = plan.stats;
+    let macs = stats.total_macs as f64;
+    let size_term = 1.0 - (-macs / 25.0e6).exp();
+    let total = stats.total_macs.max(1) as f64;
+    let conv_frac = stats.conv_macs as f64 / total;
+    let dw_frac = stats.dw_macs as f64 / total;
+    // Small deterministic jitter so equal-capacity genotypes differ.
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    use std::hash::{Hash, Hasher};
+    plan.genotype.hash(&mut h);
+    let jitter = ((h.finish() % 1000) as f64 / 1000.0 - 0.5) * 0.02;
+    (0.38 + 0.5 * size_term + 0.05 * conv_frac + 0.03 * dw_frac + jitter).clamp(0.1, 0.97)
 }
 
 impl Evaluator for SurrogateEvaluator {
@@ -569,7 +574,7 @@ impl Evaluator for SurrogateEvaluator {
         let plan = self.skeleton.compile(&point.genotype);
         let rep = self.sim.simulate_plan(&plan, &point.hw);
         Ok(Evaluation {
-            accuracy: self.surrogate_accuracy(point),
+            accuracy: plan_accuracy(&plan),
             latency_ms: rep.latency_ms,
             energy_mj: rep.energy_mj,
         })
@@ -640,6 +645,23 @@ mod tests {
             .unwrap();
         assert!(heavy.accuracy > light.accuracy);
         assert!(heavy.energy_mj > light.energy_mj, "capacity costs energy");
+    }
+
+    /// `evaluate` compiles each genotype once and reads the accuracy off
+    /// that plan: the same bits `surrogate_accuracy` computes on its own.
+    #[test]
+    fn evaluate_accuracy_is_surrogate_accuracy_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for skeleton in [NetworkSkeleton::tiny(), NetworkSkeleton::paper_default()] {
+            let ev = SurrogateEvaluator::new(skeleton);
+            for _ in 0..40 {
+                let p = DesignPoint::random(&mut rng);
+                assert_eq!(
+                    ev.surrogate_accuracy(&p).to_bits(),
+                    ev.evaluate(&p).unwrap().accuracy.to_bits()
+                );
+            }
+        }
     }
 
     /// The batched fan-out and the serial per-point path give the same

@@ -214,15 +214,22 @@ impl ConnWriter {
             self.close();
             return;
         }
-        q.push_back(frame.to_string());
+        // Room for the newline `write_frame` appends.
+        let mut owned = String::with_capacity(frame.len() + 1);
+        owned.push_str(frame);
+        q.push_back(owned);
         drop(q);
         self.cv.notify_one();
     }
 
     /// Marks the connection for graceful teardown: queued frames are
-    /// still written, then the writer thread exits.
+    /// still written, then the writer thread exits. The flag is set under
+    /// the queue lock, which the writer holds from its check to its wait,
+    /// so the wake-up cannot fall between the two.
     fn finish(&self) {
+        let q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
         self.closing.store(true, Ordering::Relaxed);
+        drop(q);
         self.cv.notify_all();
     }
 
@@ -253,7 +260,7 @@ impl ConnWriter {
                 }
             };
             let Some(frame) = frame else { return };
-            if !self.write_frame(&frame, frame_idx) {
+            if !self.write_frame(frame, frame_idx) {
                 self.close();
                 return;
             }
@@ -261,9 +268,10 @@ impl ConnWriter {
         }
     }
 
-    /// Writes one frame, applying the network fault kinds when a chaos
-    /// plan is armed. Returns false when the connection should die.
-    fn write_frame(&self, frame: &str, idx: u64) -> bool {
+    /// Writes one frame and its newline in one `write_all`, applying the
+    /// network fault kinds when a chaos plan is armed. Returns false when
+    /// the connection should die.
+    fn write_frame(&self, mut frame: String, idx: u64) -> bool {
         let mut s = &self.stream;
         if yoso_chaos::armed() {
             if yoso_chaos::should_fault_indexed(FaultKind::ConnDrop, idx, 0, self.chaos_salt) {
@@ -285,7 +293,8 @@ impl ConnWriter {
                 return false;
             }
         }
-        writeln!(s, "{frame}").and_then(|()| s.flush()).is_ok()
+        frame.push('\n');
+        s.write_all(frame.as_bytes()).is_ok()
     }
 }
 
@@ -654,11 +663,21 @@ impl Server {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        {
-            let conns = self.shared.conns.lock().unwrap_or_else(|e| e.into_inner());
-            for conn in conns.iter().filter_map(Weak::upgrade) {
-                conn.close();
-            }
+        // Flush, then close: shutting a socket's read half ends its
+        // handler's read loop, whose exit lets the writer thread write
+        // what is queued (a `shutting_down` reply included) before the
+        // handler shuts the socket. A connection still flushing at the
+        // deadline is hard-closed, dropping the rest.
+        let conns: Vec<Arc<ConnWriter>> = self
+            .shared
+            .conns
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
+            .filter_map(Weak::upgrade)
+            .collect();
+        for conn in &conns {
+            let _ = conn.stream.shutdown(NetShutdown::Read);
         }
         let handlers = std::mem::take(
             &mut *self
@@ -667,6 +686,15 @@ impl Server {
                 .lock()
                 .unwrap_or_else(|e| e.into_inner()),
         );
+        let deadline = Instant::now() + self.shared.cfg.drain_timeout;
+        for h in &handlers {
+            while !h.is_finished() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        for conn in &conns {
+            conn.close();
+        }
         for h in handlers {
             let _ = h.join();
         }
@@ -784,10 +812,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        // Deadlines before the stream reaches any thread: a half-open
-        // client can stall a read or write for at most one timeout.
-        let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
-        let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
+        prepare_accepted(&stream, &shared.cfg);
         let shared2 = shared.clone();
         let handle = std::thread::Builder::new()
             .name("yoso-conn".to_string())
@@ -799,6 +824,17 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
             .unwrap_or_else(|e| e.into_inner())
             .push(handle);
     }
+}
+
+/// Socket set-up of an accepted connection, before the stream reaches
+/// any thread. Deadlines: a half-open client can stall a read or write
+/// for at most one timeout. No delay: each frame is already one write
+/// (`ConnWriter::write_frame`), so Nagle's algorithm would only hold a
+/// frame back until the client's delayed ACK (up to ~40 ms on Linux).
+fn prepare_accepted(stream: &TcpStream, cfg: &ServerConfig) {
+    let _ = stream.set_read_timeout(Some(cfg.read_timeout));
+    let _ = stream.set_write_timeout(Some(cfg.write_timeout));
+    let _ = stream.set_nodelay(true);
 }
 
 /// One read attempt's outcome on a connection.
@@ -909,6 +945,7 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
                 if matches!(req, Ok(Request::Pong)) {
                     continue; // heartbeat answer; nothing to reply
                 }
+                let shutdown = matches!(req, Ok(Request::Shutdown));
                 let reply = match req {
                     Ok(req) => handle_request(shared, &writer, req),
                     Err(e) => Reply::Error {
@@ -917,6 +954,16 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
                     },
                 };
                 writer.send(&reply.to_json());
+                if shutdown {
+                    // Wake the main thread only once the reply is queued:
+                    // `Server::shutdown` flushes queued frames, so the
+                    // client always gets its `shutting_down`.
+                    *shared
+                        .shutdown_requested
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner()) = true;
+                    shared.shutdown_cv.notify_all();
+                }
             }
             ReadOutcome::TimedOut => {
                 if shared.shutting_down.load(Ordering::SeqCst) {
@@ -975,12 +1022,6 @@ fn handle_request(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, req: Request) 
                 }
             }
             shared.queue_cv.notify_all();
-            let mut requested = shared
-                .shutdown_requested
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            *requested = true;
-            shared.shutdown_cv.notify_all();
             Reply::ShuttingDown
         }
     }
@@ -1434,4 +1475,28 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
     log.lock()
         .unwrap_or_else(|e| e.into_inner())
         .finish(pareto, done);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An accepted socket leaves `accept_loop`'s set-up with no delay and
+    /// both deadlines, before any thread reads or writes it.
+    #[test]
+    fn accepted_sockets_get_nodelay_and_deadlines() {
+        let cfg = ServerConfig {
+            read_timeout: Duration::from_millis(1_500),
+            write_timeout: Duration::from_millis(2_500),
+            ..ServerConfig::default()
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
+        let _client = TcpStream::connect(listener.local_addr().expect("bound address"))
+            .expect("connect to the listener");
+        let (stream, _) = listener.accept().expect("accept the connection");
+        prepare_accepted(&stream, &cfg);
+        assert!(stream.nodelay().expect("read TCP_NODELAY"));
+        assert_eq!(stream.read_timeout().unwrap(), Some(cfg.read_timeout));
+        assert_eq!(stream.write_timeout().unwrap(), Some(cfg.write_timeout));
+    }
 }

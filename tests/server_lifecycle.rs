@@ -695,3 +695,29 @@ fn resilient_client_keeps_replayed_events_of_a_finished_job() {
     );
     server.shutdown();
 }
+
+/// Stop sequences the lost-reply test repeats: a race that loses the
+/// reply in a few percent of cycles fails this many almost surely.
+const SHUTDOWN_CYCLES: usize = 300;
+
+/// The daemon's stop sequence — a client's `shutdown`, then the main
+/// thread's `wait_for_shutdown_request` and `shutdown` — always delivers
+/// the `shutting_down` reply: it is queued before the main thread wakes,
+/// and `shutdown` flushes queued frames before it closes a socket.
+/// Repeated, since losing the reply is a race.
+#[test]
+fn shutdown_reply_survives_the_stop_sequence() {
+    let _guard = serial();
+    for cycle in 0..SHUTDOWN_CYCLES {
+        let server = Server::start(ServerConfig::default()).unwrap();
+        let addr = server.addr();
+        let client = std::thread::spawn(move || {
+            let mut admin = Client::connect(addr).map_err(|e| e.to_string())?;
+            admin.shutdown_server().map_err(|e| e.to_string())
+        });
+        server.wait_for_shutdown_request();
+        server.shutdown();
+        let reply = client.join().expect("client thread");
+        assert_eq!(reply, Ok(()), "cycle {cycle} lost the shutting_down reply");
+    }
+}

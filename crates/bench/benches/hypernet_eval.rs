@@ -9,7 +9,7 @@ use std::hint::black_box;
 use yoso_arch::{Genotype, NetworkSkeleton};
 use yoso_dataset::{SynthCifar, SynthCifarConfig};
 use yoso_hypernet::{HyperNet, HyperTrainConfig};
-use yoso_nn::{CellNetwork, TrainConfig};
+use yoso_nn::{CellNetwork, ScoringPrecision, TrainConfig};
 
 fn bench_hypernet(c: &mut Criterion) {
     let skeleton = NetworkSkeleton::tiny();
@@ -30,7 +30,7 @@ fn bench_hypernet(c: &mut Criterion) {
         b.iter(|| {
             let g = &genotypes[i % 8];
             i += 1;
-            black_box(hyper.evaluate_genotype(g, &data.val, 64))
+            black_box(hyper.evaluate_genotype(g, &data.val, 64, ScoringPrecision::F32))
         })
     });
 

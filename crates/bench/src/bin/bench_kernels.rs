@@ -30,7 +30,7 @@ use yoso_bench::{bench_meta_json, run_main, Args};
 use yoso_core::error::Error;
 use yoso_dataset::{SynthCifar, SynthCifarConfig};
 use yoso_hypernet::HyperNet;
-use yoso_nn::{evaluate_with, forward_network};
+use yoso_nn::{evaluate_with, forward_network, ScoringPrecision};
 use yoso_predictor::metrics::spearman;
 use yoso_predictor::{GaussianProcess, Regressor, SparseGaussianProcess};
 use yoso_tensor::conv::{conv2d_backward_scratch, conv2d_forward_scratch};
@@ -322,9 +322,11 @@ fn real_main() -> Result<(), Error> {
     );
 
     // Raw integer GEMM (u8 activations x i8 weights -> i32) vs the f32
-    // packed kernel on the same im2col shapes. Quantization of weights
-    // is excluded (done once per candidate); activation quantization is
-    // included (paid per batch).
+    // packed kernel on the same im2col shapes. Activation quantization
+    // is included; weight quantization is excluded, although scoring
+    // pays both at every conv visit (once per validation batch), since
+    // it costs one pass over the weights against the GEMM's pass per
+    // output column.
     println!(
         "int8 gemm: u8xi8 ({}) vs f32 packed, same shapes",
         quant_tier()
@@ -360,11 +362,11 @@ fn real_main() -> Result<(), Error> {
     // End-to-end candidate scoring: the HyperNet validation pass in f32
     // on the tape-free walk (`evaluate_genotype`, what the search runs),
     // in f32 on the training tape (a `Graph` + `forward_network` per
-    // batch, the path scoring took before the walk), and in int8
-    // (quantize inherited weights once, integer convs, f32 everything
-    // else). This is the quantity the search loop actually pays per
-    // candidate; minor page faults per candidate show the allocation
-    // churn of each side.
+    // batch, the path scoring took before the walk), and in int8 on the
+    // same walk (inherited weights quantized at each conv visit, so once
+    // per validation batch; integer convs, f32 everything else). This is
+    // the quantity the search loop actually pays per candidate; minor
+    // page faults per candidate show the allocation churn of each side.
     let sk = yoso_arch::NetworkSkeleton::tiny();
     let data = SynthCifar::generate(&SynthCifarConfig::tiny());
     let hyper = HyperNet::new(sk, seed);
@@ -386,9 +388,9 @@ fn real_main() -> Result<(), Error> {
         })
     };
     let sides: [&dyn Fn(&yoso_arch::Genotype) -> f64; 3] = [
-        &|g| hyper.evaluate_genotype(g, &data.val, score_batch),
+        &|g| hyper.evaluate_genotype(g, &data.val, score_batch, ScoringPrecision::F32),
         &tape_score,
-        &|g| hyper.evaluate_genotype_int8(g, &data.val, score_batch),
+        &|g| hyper.evaluate_genotype(g, &data.val, score_batch, ScoringPrecision::Int8),
     ];
     // The sides are timed in *alternating* rounds rather than
     // back-to-back `bench_ms` windows: on a shared machine a load spike

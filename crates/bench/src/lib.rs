@@ -185,12 +185,13 @@ impl Args {
     ///
     /// [`yoso_core::Error::InvalidConfig`] on any other value.
     pub fn scoring(&self) -> Result<yoso_core::ScoringPrecision, yoso_core::Error> {
-        match self.value("--scoring").as_deref() {
-            None | Some("f32") => Ok(yoso_core::ScoringPrecision::F32),
-            Some("int8") => Ok(yoso_core::ScoringPrecision::Int8),
-            Some(other) => Err(yoso_core::Error::InvalidConfig(format!(
-                "--scoring must be f32 or int8, got {other:?}"
-            ))),
+        match self.value("--scoring") {
+            None => Ok(yoso_core::ScoringPrecision::F32),
+            Some(name) => yoso_core::ScoringPrecision::from_name(&name).ok_or_else(|| {
+                yoso_core::Error::InvalidConfig(format!(
+                    "--scoring must be f32 or int8, got {name:?}"
+                ))
+            }),
         }
     }
 

@@ -12,37 +12,10 @@ use yoso_accel::Simulator;
 use yoso_arch::{DesignPoint, Genotype, NetworkPlan, NetworkSkeleton};
 use yoso_dataset::SynthCifar;
 use yoso_hypernet::{HyperNet, HyperTrainConfig};
-use yoso_nn::{CellNetwork, QuantizedNetwork, TrainConfig};
+pub use yoso_nn::ScoringPrecision;
+use yoso_nn::{CellNetwork, TrainConfig};
 pub use yoso_predictor::perf::SurrogateKind;
 use yoso_predictor::perf::{collect_samples, PerfPredictor};
-
-/// Numeric precision of the accuracy pass of candidate scoring.
-///
-/// [`F32`](ScoringPrecision::F32) runs the HyperNet validation pass on
-/// the tape-free walk `yoso_nn::infer_network`, bit-identical to the
-/// training tape. [`Int8`](ScoringPrecision::Int8) runs it on the int8
-/// path (`yoso_nn::QuantizedNetwork`): candidate weights are quantized
-/// per validation batch and every batch is scored with integer GEMMs,
-/// at the cost of conv quantization error.
-/// The `quantized_scoring` integration test pins the rank correlation
-/// between the two precisions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScoringPrecision {
-    /// Full-precision f32 forward (default).
-    #[default]
-    F32,
-    /// Int8 conv path with per-channel weight quantization.
-    Int8,
-}
-
-impl std::fmt::Display for ScoringPrecision {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ScoringPrecision::F32 => "f32",
-            ScoringPrecision::Int8 => "int8",
-        })
-    }
-}
 
 /// The three metrics the reward combines.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -188,11 +161,10 @@ pub struct FastEvaluator {
     pub eval_subset: usize,
     /// Evaluation batch size.
     pub eval_batch: usize,
-    acc_cache: RwLock<HashMap<Genotype, f64>>,
-    /// Int8 accuracies live in their own cache: the two precisions give
+    /// Accuracies keyed by precision too: the two precisions give
     /// different numbers, and toggling precision mid-run must not serve
-    /// stale entries from the other path.
-    acc_cache_int8: RwLock<HashMap<Genotype, f64>>,
+    /// entries of the other.
+    acc_cache: RwLock<HashMap<(Genotype, ScoringPrecision), f64>>,
     /// Active [`ScoringPrecision`] as its discriminant (0 = f32,
     /// 1 = int8); atomic so `&self` scoring calls can read it.
     precision: AtomicU8,
@@ -213,7 +185,6 @@ impl FastEvaluator {
             eval_subset: 256,
             eval_batch: 128,
             acc_cache: RwLock::new(HashMap::new()),
-            acc_cache_int8: RwLock::new(HashMap::new()),
             precision: AtomicU8::new(0),
             stats_cache: RwLock::new(HashMap::new()),
             fallback_sim: Simulator::fast(),
@@ -281,17 +252,8 @@ impl FastEvaluator {
         &self.predictor
     }
 
-    /// The accuracy cache of one precision. The two precisions give
-    /// different numbers, so each has its own.
-    fn acc_cache(&self, precision: ScoringPrecision) -> &RwLock<HashMap<Genotype, f64>> {
-        match precision {
-            ScoringPrecision::F32 => &self.acc_cache,
-            ScoringPrecision::Int8 => &self.acc_cache_int8,
-        }
-    }
-
     fn cached_accuracy(&self, genotype: &Genotype, precision: ScoringPrecision) -> Option<f64> {
-        self.acc_cache(precision).read().get(genotype).copied()
+        self.acc_cache.read().get(&(*genotype, precision)).copied()
     }
 
     /// Per-point accuracy query: the cached value, or the fold of every
@@ -304,7 +266,7 @@ impl FastEvaluator {
         }
         let acc =
             fold_batches((0..self.val_batches()).map(|b| self.score_batch(genotype, precision, b)));
-        self.acc_cache(precision).write().insert(*genotype, acc);
+        self.acc_cache.write().insert((*genotype, precision), acc);
         acc
     }
 
@@ -320,10 +282,9 @@ impl FastEvaluator {
     }
 
     /// Scores `genotype` on validation batch `b` of the subset with its
-    /// inherited weights: f32 on the tape-free
-    /// [`infer_network`](yoso_nn::infer_network) walk, int8 through a
-    /// [`QuantizedNetwork`] prepared for this batch. Both precisions
-    /// score exactly the same examples.
+    /// inherited weights, on the tape-free
+    /// [`infer_network`](yoso_nn::infer_network) walk at `precision`.
+    /// Both precisions score exactly the same examples.
     fn score_batch(
         &self,
         genotype: &Genotype,
@@ -336,12 +297,7 @@ impl FastEvaluator {
         let plan = self.hyper.skeleton().compile(genotype);
         let provider = self.hyper.provider(&plan);
         let store = self.hyper.store();
-        let logits = match precision {
-            ScoringPrecision::F32 => yoso_nn::infer_network(&plan, store, &provider, &images),
-            ScoringPrecision::Int8 => {
-                QuantizedNetwork::prepare(&plan, store, &provider).forward(&images)
-            }
-        };
+        let logits = yoso_nn::infer_network(&plan, store, &provider, &images, precision);
         (yoso_tensor::accuracy(&logits, &labels), labels.len())
     }
 
@@ -426,7 +382,7 @@ impl Evaluator for FastEvaluator {
                 [BatchItem::Cached(acc), ..] => *acc,
                 scored => {
                     let acc = fold_batches(scored.iter().map(BatchItem::score));
-                    self.acc_cache(precision).write().insert(p.genotype, acc);
+                    self.acc_cache.write().insert((p.genotype, precision), acc);
                     acc
                 }
             })

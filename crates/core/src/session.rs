@@ -523,13 +523,7 @@ impl<'a> SearchSession<'a> {
                 .with_u64("tournament", self.config.tournament as u64)
                 .with_u64("seed", self.config.seed);
             if let Some(p) = self.scoring {
-                start = start.with_str(
-                    "scoring",
-                    match p {
-                        ScoringPrecision::F32 => "f32",
-                        ScoringPrecision::Int8 => "int8",
-                    },
-                );
+                start = start.with_str("scoring", p.name());
             }
             if let Some(ck) = &self.resume {
                 start = start.with_u64("resume_iteration", ck.history.len() as u64);

@@ -10,9 +10,11 @@
 //! weight storage so the standalone [`CellNetwork`] and the weight-sharing
 //! HyperNet (`yoso-hypernet`) share exactly one forward implementation —
 //! which is what makes weight inheritance meaningful. Training runs it on
-//! the autograd tape ([`forward_network`]); every f32 inference runs the
-//! tape-free [`infer_network`], which mirrors it op for op and returns
-//! bit-identical logits without building a `Graph`.
+//! the autograd tape ([`forward_network`]); every inference runs the
+//! tape-free [`infer_network`] walk without building a `Graph`. At
+//! [`ScoringPrecision::F32`] the walk mirrors the tape op for op and
+//! returns bit-identical logits; at [`ScoringPrecision::Int8`] the same
+//! walk lowers each dense conv to an integer GEMM.
 //!
 //! ## Example
 //!
@@ -35,11 +37,9 @@
 pub mod forward;
 pub mod infer;
 pub mod network;
-pub mod qforward;
 pub mod weights;
 
 pub use forward::forward_network;
-pub use infer::infer_network;
+pub use infer::{infer_network, ScoringPrecision};
 pub use network::{evaluate_with, CellNetwork, EpochStat, TrainConfig, TrainHistory};
-pub use qforward::QuantizedNetwork;
 pub use weights::{ConvBn, Head, OpWeights, SepConv, WeightProvider};

@@ -79,7 +79,7 @@ use proto::{ErrorCode, JobDone, JobSpec, JobState, JobStatus, Reply, Request, Se
 use yoso_arch::NetworkSkeleton;
 use yoso_chaos::FaultKind;
 use yoso_core::error::Error as CoreError;
-use yoso_core::evaluation::SurrogateEvaluator;
+use yoso_core::evaluation::{Evaluator, SurrogateEvaluator};
 use yoso_core::session::SearchSession;
 use yoso_trace::Trace;
 
@@ -433,6 +433,12 @@ struct Shared {
 }
 
 impl Shared {
+    /// The evaluator a job runs on. Admission asks a fresh one whether
+    /// it can score a spec before anything is written.
+    fn evaluator(&self) -> SurrogateEvaluator {
+        SurrogateEvaluator::new(self.cfg.skeleton.clone())
+    }
+
     fn job_dir(&self, id: u64) -> Option<PathBuf> {
         self.cfg
             .checkpoint_root
@@ -1046,6 +1052,20 @@ fn submit(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, spec: JobSpec, stream:
     if shared.shutting_down.load(Ordering::SeqCst) {
         return error(ErrorCode::ShuttingDown, "server is shutting down");
     }
+    // The session builder makes the same check, but only once the job
+    // runs: by then it would be journaled, acknowledged and queued.
+    let evaluator = shared.evaluator();
+    evaluator.set_scoring_precision(spec.scoring);
+    if evaluator.scoring_precision() != spec.scoring {
+        return error(
+            ErrorCode::InvalidSpec,
+            format!(
+                "evaluator `{}` cannot score at {} precision",
+                evaluator.name(),
+                spec.scoring
+            ),
+        );
+    }
     if let Some(budget) = shared.cfg.tenant_fault_budget {
         let ledger = shared
             .tenant_faults
@@ -1356,7 +1376,7 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
     yoso_accel::cache::set_thread_tenant(Some(&tenant_tag));
     yoso_chaos::set_thread_scope(Some(yoso_chaos::scope_for(&spec.tenant)));
 
-    let evaluator = SurrogateEvaluator::new(shared.cfg.skeleton.clone());
+    let evaluator = shared.evaluator();
     let trace = {
         let log = log.clone();
         let iterations_done = iterations_done.clone();

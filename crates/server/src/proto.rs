@@ -272,13 +272,7 @@ impl JobSpec {
             )
             .with_bool("hard_constraints", self.reward.hard_constraints)
             .with_bool("saturate", self.reward.saturate_below_threshold)
-            .with_str(
-                "scoring",
-                match self.scoring {
-                    ScoringPrecision::F32 => "f32",
-                    ScoringPrecision::Int8 => "int8",
-                },
-            );
+            .with_str("scoring", self.scoring.name());
         if let Some(f) = self.fault_budget {
             ev = ev.with_u64("fault_budget", f);
         }
@@ -329,11 +323,9 @@ impl JobSpec {
             hard_constraints: get_bool(ev, "hard_constraints")?,
             saturate_below_threshold: get_bool(ev, "saturate")?,
         };
-        let scoring = match get_str(ev, "scoring")? {
-            "f32" => ScoringPrecision::F32,
-            "int8" => ScoringPrecision::Int8,
-            other => return Err(ProtoError::invalid(format!("unknown scoring {other:?}"))),
-        };
+        let scoring_name = get_str(ev, "scoring")?;
+        let scoring = ScoringPrecision::from_name(scoring_name)
+            .ok_or_else(|| ProtoError::invalid(format!("unknown scoring {scoring_name:?}")))?;
         Ok(JobSpec {
             tenant,
             strategy,

@@ -74,11 +74,11 @@ fn int8_scoring_preserves_f32_ranking() {
     let genos: Vec<Genotype> = (0..64).map(|_| Genotype::random(&mut rng)).collect();
     let f32_scores: Vec<f64> = genos
         .iter()
-        .map(|g| hyper.evaluate_genotype(g, &data.val, 128))
+        .map(|g| hyper.evaluate_genotype(g, &data.val, 128, ScoringPrecision::F32))
         .collect();
     let int8_scores: Vec<f64> = genos
         .iter()
-        .map(|g| hyper.evaluate_genotype_int8(g, &data.val, 128))
+        .map(|g| hyper.evaluate_genotype(g, &data.val, 128, ScoringPrecision::Int8))
         .collect();
 
     let rho = spearman(&f32_scores, &int8_scores);

@@ -270,6 +270,55 @@ fn rejection_paths_return_typed_error_codes() {
     server.shutdown();
 }
 
+/// A precision the daemon's evaluator cannot score is refused at
+/// admission with `InvalidSpec`: no job is admitted, and nothing is
+/// persisted or journaled for it.
+#[test]
+fn unscorable_precision_is_refused_before_admission() {
+    let _guard = serial();
+    let root = temp_root("unscorable");
+    let server = Server::start(ServerConfig {
+        checkpoint_root: Some(root.clone()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut int8 = spec("quantized", 6, 5);
+    int8.scoring = yoso::core::evaluation::ScoringPrecision::Int8;
+    match client.submit(&int8, true) {
+        Err(err) => assert_eq!(err.code(), Some(ErrorCode::InvalidSpec), "{err}"),
+        Ok(job) => panic!("int8 job {job} was admitted by a surrogate-scoring daemon"),
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!(
+        [
+            stats.queued,
+            stats.running,
+            stats.suspended,
+            stats.completed,
+            stats.failed
+        ],
+        [0; 5],
+        "a refused job shows up in {stats:?}"
+    );
+    drop(client);
+    server.shutdown();
+
+    let job_dirs: Vec<_> = std::fs::read_dir(&root)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.is_dir())
+        .collect();
+    assert!(job_dirs.is_empty(), "refused job persisted: {job_dirs:?}");
+    let recovery = yoso_server::journal::recover(&root).unwrap();
+    assert!(
+        recovery.jobs.is_empty(),
+        "refused job journaled: {:?}",
+        recovery.jobs
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn scoped_chaos_faults_one_tenant_and_spares_others() {
     let _guard = serial();

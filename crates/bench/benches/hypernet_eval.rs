@@ -1,6 +1,8 @@
 //! The HyperNet's one-shot evaluation claim: accuracy of a candidate at
 //! the cost of a single validation pass with inherited weights, vs the
-//! cost of standalone training (even a single epoch).
+//! cost of standalone training (even a single epoch). `walk_small_batch128`
+//! times the unit a search scores: one f32 inference walk of a `small`
+//! candidate over a 128-image validation batch.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -9,7 +11,7 @@ use std::hint::black_box;
 use yoso_arch::{Genotype, NetworkSkeleton};
 use yoso_dataset::{SynthCifar, SynthCifarConfig};
 use yoso_hypernet::{HyperNet, HyperTrainConfig};
-use yoso_nn::{CellNetwork, ScoringPrecision, TrainConfig};
+use yoso_nn::{infer_network, CellNetwork, ScoringPrecision, TrainConfig};
 
 fn bench_hypernet(c: &mut Criterion) {
     let skeleton = NetworkSkeleton::tiny();
@@ -31,6 +33,37 @@ fn bench_hypernet(c: &mut Criterion) {
             let g = &genotypes[i % 8];
             i += 1;
             black_box(hyper.evaluate_genotype(g, &data.val, 64, ScoringPrecision::F32))
+        })
+    });
+
+    let small = NetworkSkeleton::small();
+    let small_data = SynthCifar::generate(&SynthCifarConfig::small());
+    let mut small_hyper = HyperNet::new(small.clone(), 0);
+    small_hyper.train(
+        &small_data,
+        &HyperTrainConfig {
+            epochs: 1,
+            batch_size: 128,
+            augment: false,
+            ..Default::default()
+        },
+    );
+    let idx: Vec<usize> = (0..128).collect();
+    let (images, _) = small_data.val.batch(&idx);
+    let plans: Vec<_> = genotypes.iter().map(|g| small.compile(g)).collect();
+    c.bench_function("walk_small_batch128", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            let plan = &plans[i % 8];
+            i += 1;
+            let provider = small_hyper.provider(plan);
+            black_box(infer_network(
+                plan,
+                small_hyper.store(),
+                &provider,
+                &images,
+                ScoringPrecision::F32,
+            ))
         })
     });
 

@@ -131,6 +131,22 @@ fn fold_batches(scores: impl Iterator<Item = BatchScore>) -> f64 {
     correct / total.max(1) as f64
 }
 
+/// Counts one [`FastEvaluator`] accuracy query into the
+/// `eval.accuracy.cache_hits` or `eval.accuracy.cache_misses` counter
+/// of traced runs.
+fn count_accuracy_query(hit: bool) {
+    if yoso_trace::enabled() {
+        yoso_trace::counter_add(
+            if hit {
+                "eval.accuracy.cache_hits"
+            } else {
+                "eval.accuracy.cache_misses"
+            },
+            1,
+        );
+    }
+}
+
 /// What one pool item of [`FastEvaluator`]'s batched scoring returns.
 enum BatchItem {
     /// The point's accuracy was already cached; nothing was scored.
@@ -262,8 +278,10 @@ impl FastEvaluator {
     fn accuracy_of(&self, genotype: &Genotype) -> f64 {
         let precision = self.scoring_precision();
         if let Some(a) = self.cached_accuracy(genotype, precision) {
+            count_accuracy_query(true);
             return a;
         }
+        count_accuracy_query(false);
         let acc =
             fold_batches((0..self.val_batches()).map(|b| self.score_batch(genotype, precision, b)));
         self.acc_cache.write().insert((*genotype, precision), acc);
@@ -284,7 +302,9 @@ impl FastEvaluator {
     /// Scores `genotype` on validation batch `b` of the subset with its
     /// inherited weights, on the tape-free
     /// [`infer_network`](yoso_nn::infer_network) walk at `precision`.
-    /// Both precisions score exactly the same examples.
+    /// Both precisions score exactly the same examples. Traced runs time
+    /// each walk into the `eval.accuracy.f32` or `eval.accuracy.int8`
+    /// span.
     fn score_batch(
         &self,
         genotype: &Genotype,
@@ -297,6 +317,10 @@ impl FastEvaluator {
         let plan = self.hyper.skeleton().compile(genotype);
         let provider = self.hyper.provider(&plan);
         let store = self.hyper.store();
+        let _span = yoso_trace::span(match precision {
+            ScoringPrecision::F32 => "eval.accuracy.f32",
+            ScoringPrecision::Int8 => "eval.accuracy.int8",
+        });
         let logits = yoso_nn::infer_network(&plan, store, &provider, &images, precision);
         (yoso_tensor::accuracy(&logits, &labels), labels.len())
     }
@@ -379,8 +403,12 @@ impl Evaluator for FastEvaluator {
             .iter()
             .enumerate()
             .map(|(j, p)| match &items[j * nb..(j + 1) * nb] {
-                [BatchItem::Cached(acc), ..] => *acc,
+                [BatchItem::Cached(acc), ..] => {
+                    count_accuracy_query(true);
+                    *acc
+                }
                 scored => {
+                    count_accuracy_query(false);
                     let acc = fold_batches(scored.iter().map(BatchItem::score));
                     self.acc_cache.write().insert((p.genotype, precision), acc);
                     acc

@@ -7,10 +7,10 @@
 //!
 //! * weights are read in place from the [`ParamStore`]; the tape clones
 //!   every weight it touches;
-//! * each f32 conv lowers one sample at a time into one column buffer of
-//!   `cin·k·k·hout·wout` floats ([`conv2d_forward_infer`]); the tape
-//!   holds a whole-batch im2col buffer per conv until its graph is
-//!   dropped;
+//! * each f32 conv lowers runs of samples whose columns fit a 64 Ki-float
+//!   block and multiplies each run in one GEMM ([`conv2d_forward_infer`]);
+//!   the tape lowers sample by sample into a whole-batch column buffer
+//!   per conv and holds it until its graph is dropped;
 //! * every buffer (columns, activations, the int8 lowering's bytes and
 //!   accumulators) comes from an arena that outlives the walk, so a
 //!   steady-state walk allocates only its logits, a few per-channel
@@ -21,8 +21,9 @@
 //! bit-identical to the tape's. Three ops are easy to get subtly wrong
 //! and are spelled out to match `Graph`: the separable ops' ReLU maps
 //! only `v < 0.0` to `0.0` (so `-0.0` and NaN pass through, unlike the
-//! `max(0, ·)` fused into im2col), node sums are `a + b` in that order,
-//! and global pooling sums a plane before scaling by `1/(h·w)`.
+//! `max(0, ·)` fused into the conv lowering), node sums are `a + b` in
+//! that order, and global pooling sums a plane before scaling by
+//! `1/(h·w)`.
 //! `tests/infer_bit_identity.rs` pins the contract with `to_bits()`
 //! over random genotypes, skeletons and batch sizes.
 //!

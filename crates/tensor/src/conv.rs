@@ -9,6 +9,7 @@
 use crate::matmul::{sgemm, sgemm_a_bt_acc, sgemm_at_b_acc};
 use crate::scratch::Scratch;
 use crate::tensor::Tensor;
+use std::ops::Range;
 
 /// Static geometry of a 2-D convolution / pooling window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,63 +51,280 @@ impl ConvGeom {
     }
 }
 
-/// Lowers one sample `x[c, h, w]` into a column matrix `[c*k*k, hout*wout]`.
+/// Floats in one column block of [`conv2d_forward_infer`]: it lowers as
+/// many samples at once as fit their `cin·k·k × hout·wout` columns into
+/// this budget (at least one), so the block stays in cache between the
+/// lowering that writes it and the one GEMM that reads it.
+const COL_BLOCK: usize = 64 * 1024;
+
+/// Where each tap `(ky, kx)` of a conv or window geometry reads, over a
+/// span of up to `planes` consecutive `h × w` input planes and their
+/// `hout × wout` output planes. The window kernels span the `c` planes of
+/// one sample, the conv lowering one channel's planes across a run of
+/// samples; either way a tap is one pass over every lane of the span,
+/// however small its planes are.
 ///
-/// With `RELU = true`, applies `max(0, ·)` to each element while copying —
-/// the fused forward path uses this to avoid materializing a separate
-/// ReLU output tensor. The flag is a const generic so the branch
-/// disappears from the generated inner loops.
-///
-/// `inline(always)`: training and inference both lower through
-/// [`conv_sample`], and with two callers rustc would otherwise outline
-/// this loop nest out of `conv2d_forward_scratch`.
-#[inline(always)]
-fn im2col<const RELU: bool>(
-    x: &[f32],
-    c: usize,
+/// Kernels take a table from their [`Scratch`] arena with
+/// [`TapTable::take`] and give it back when done, so a steady-state walk
+/// or training step builds none.
+#[derive(Debug, Clone)]
+pub(crate) struct TapTable {
+    /// The geometry and input plane the table was built for.
+    geom: ConvGeom,
     h: usize,
     w: usize,
-    g: ConvGeom,
-    hout: usize,
-    wout: usize,
-    col: &mut [f32],
-) {
-    let k = g.k;
-    debug_assert_eq!(col.len(), c * k * k * hout * wout);
-    let hw_out = hout * wout;
-    for ch in 0..c {
-        let xc = &x[ch * h * w..(ch + 1) * h * w];
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = ((ch * k + ky) * k + kx) * hw_out;
-                for oy in 0..hout {
-                    let iy = (oy * g.stride + ky) as isize - g.pad as isize;
-                    let dst = &mut col[row + oy * wout..row + (oy + 1) * wout];
-                    if iy < 0 || iy >= h as isize {
-                        for v in dst.iter_mut() {
-                            *v = 0.0;
+    /// Taps, `k·k`, in `(ky, kx)` order.
+    taps: usize,
+    /// Lanes of one input plane, `h·w`.
+    hw_in: usize,
+    /// Lanes of one output plane, `hout·wout`.
+    hw_out: usize,
+    /// Output lanes the tables cover, `planes·hout·wout`.
+    lanes: usize,
+    /// `valid[t·lanes + o]`: tap `t` of lane `o` reads inside its plane.
+    /// Every other lane of the tap lands in the padding.
+    valid: Vec<bool>,
+    reads: TapReads,
+    /// `plane[t·lanes + o]`: the index within its plane of the input tap
+    /// `t` of lane `o` reads (`0` where invalid). Empty unless asked for.
+    plane: Vec<u32>,
+}
+
+/// How a tap's lanes find their inputs in a span of input planes.
+#[derive(Debug, Clone)]
+enum TapReads {
+    /// Stride 1 keeping the plane size: tap `t` is the span shifted by
+    /// `shift[t]`, lane `o` reading input `o + shift[t]`.
+    Shifted(Vec<isize>),
+    /// Any other geometry: lane `o` of tap `t` reads input
+    /// `index[t·lanes + o]` (`0` where invalid).
+    Gathered(Vec<u32>),
+}
+
+impl TapTable {
+    /// A table covering at least `planes` planes of `geom` over `h × w`
+    /// input planes (with the `plane` table if `with_plane`): the one
+    /// `scratch` keeps for this geometry if it covers them, else a new one
+    /// that also covers what the kept one did. A table built for more
+    /// planes serves fewer, since its first `planes·hout·wout` lanes are
+    /// the table of `planes` planes.
+    fn take(
+        scratch: &mut Scratch,
+        planes: usize,
+        h: usize,
+        w: usize,
+        geom: ConvGeom,
+        with_plane: bool,
+    ) -> Self {
+        let (hout, wout) = (geom.out_dim(h), geom.out_dim(w));
+        let kept = scratch
+            .tap_tables
+            .iter()
+            .position(|t| (t.geom, t.h, t.w) == (geom, h, w))
+            .map(|i| scratch.tap_tables.swap_remove(i));
+        match kept {
+            Some(t) if t.lanes >= planes * hout * wout && (!with_plane || !t.plane.is_empty()) => t,
+            kept => {
+                let (planes, with_plane) = kept.map_or((planes, with_plane), |t| {
+                    (
+                        planes.max(t.lanes / (hout * wout)),
+                        with_plane || !t.plane.is_empty(),
+                    )
+                });
+                TapTable::new(planes, h, w, geom, hout, wout, with_plane)
+            }
+        }
+    }
+
+    /// Returns the table to `scratch` for the next kernel of its geometry.
+    fn give(self, scratch: &mut Scratch) {
+        scratch.tap_tables.push(self);
+    }
+
+    fn new(
+        planes: usize,
+        h: usize,
+        w: usize,
+        geom: ConvGeom,
+        hout: usize,
+        wout: usize,
+        with_plane: bool,
+    ) -> Self {
+        let (k, s, pad) = (geom.k, geom.stride, geom.pad);
+        let (taps, hw_in, hw_out) = (k * k, h * w, hout * wout);
+        let lanes = planes * hw_out;
+        let shifted = s == 1 && hout == h && wout == w;
+        let table = |on: bool| {
+            if on {
+                vec![0u32; taps * lanes]
+            } else {
+                Vec::new()
+            }
+        };
+        let mut valid = vec![false; taps * lanes];
+        let (mut index, mut plane) = (table(!shifted), table(with_plane));
+        let mut shifts = Vec::new();
+        for t in 0..taps {
+            let (ky, kx) = (t / k, t % k);
+            let (ylo, yhi) = tap_range(ky, pad, s, h, hout);
+            let (xlo, xhi) = tap_range(kx, pad, s, w, wout);
+            for pl in 0..planes {
+                for oy in ylo..yhi {
+                    let iy = oy * s + ky - pad;
+                    for ox in xlo..xhi {
+                        let o = t * lanes + pl * hw_out + oy * wout + ox;
+                        let p = iy * w + ox * s + kx - pad;
+                        valid[o] = true;
+                        if !shifted {
+                            index[o] = (pl * hw_in + p) as u32;
                         }
-                        continue;
+                        if with_plane {
+                            plane[o] = p as u32;
+                        }
                     }
-                    let xrow = &xc[iy as usize * w..(iy as usize + 1) * w];
-                    for (ox, v) in dst.iter_mut().enumerate() {
-                        let ix = (ox * g.stride + kx) as isize - g.pad as isize;
-                        *v = if ix < 0 || ix >= w as isize {
-                            0.0
-                        } else if RELU {
-                            xrow[ix as usize].max(0.0)
-                        } else {
-                            xrow[ix as usize]
-                        };
+                }
+            }
+            let offset = |kk: usize| kk as isize - pad as isize;
+            shifts.push(offset(ky) * w as isize + offset(kx));
+        }
+        let reads = if shifted {
+            TapReads::Shifted(shifts)
+        } else {
+            TapReads::Gathered(index)
+        };
+        TapTable {
+            geom,
+            h,
+            w,
+            taps,
+            hw_in,
+            hw_out,
+            lanes,
+            valid,
+            reads,
+            plane,
+        }
+    }
+
+    /// Length of the buffer [`for_each_tap`](Self::for_each_tap) gathers
+    /// a tap's inputs into.
+    fn gather_len(&self) -> usize {
+        match self.reads {
+            TapReads::Shifted(_) => 0,
+            TapReads::Gathered(_) => self.lanes,
+        }
+    }
+
+    /// Calls `update(t, lanes, inputs, valid)` for each tap `t`, in
+    /// `(ky, kx)` order, over the first `planes` planes of the span `xs`:
+    /// `inputs[i]` is what lane `lanes.start + i` reads and `valid[i]`
+    /// whether that read is inside its plane. Lanes outside `lanes` are
+    /// all invalid. A shifted tap passes a slice of `xs`, leaving out the
+    /// lanes whose shifted read falls outside it; a gathered tap is first
+    /// copied into `gathered`.
+    #[inline(always)]
+    fn for_each_tap(
+        &self,
+        xs: &[f32],
+        planes: usize,
+        gathered: &mut [f32],
+        mut update: impl FnMut(usize, Range<usize>, &[f32], &[bool]),
+    ) {
+        let span = planes * self.hw_out;
+        debug_assert!(span <= self.lanes && xs.len() == planes * self.hw_in);
+        for t in 0..self.taps {
+            let valid = &self.valid[t * self.lanes..t * self.lanes + span];
+            match &self.reads {
+                TapReads::Shifted(shifts) => {
+                    let shift = shifts[t];
+                    let lo = (-shift).clamp(0, span as isize) as usize;
+                    let hi = (span as isize - shift).clamp(lo as isize, span as isize) as usize;
+                    let src = if lo < hi {
+                        let start = lo.wrapping_add_signed(shift);
+                        &xs[start..start + (hi - lo)]
+                    } else {
+                        &[]
+                    };
+                    update(t, lo..hi, src, &valid[lo..hi]);
+                }
+                TapReads::Gathered(index) => {
+                    let index = &index[t * self.lanes..t * self.lanes + span];
+                    for (g, &i) in gathered.iter_mut().zip(index) {
+                        *g = xs[i as usize];
                     }
+                    update(t, 0..span, &gathered[..span], valid);
                 }
             }
         }
     }
 }
 
+/// Lowers a run of `g` samples into the column block
+/// `col[c·k·k, g·hout·wout]`: row `(ch·k + ky)·k + kx`, column
+/// `s·hout·wout + oy·wout + ox` holds input `(s, ch, oy·stride + ky − pad,
+/// ox·stride + kx − pad)`, and `+0.0` where that lands in the padding.
+/// `xt` holds the run channel-major, channel `ch` of every sample back to
+/// back (for one sample that is the sample itself), and `table` spans at
+/// least `g` planes, so each row is one masked pass of `table`'s tap over
+/// channel `ch`: a shifted copy for a stride-1 conv that keeps the plane
+/// size, a gather otherwise. Every element is written, so `col`'s prior
+/// contents don't matter.
+///
+/// With `RELU = true`, applies `max(0, ·)` to each element while copying —
+/// the fused forward path uses this to avoid materializing a separate
+/// ReLU output tensor. The flag is a const generic so the branch
+/// disappears from the generated inner loops.
+fn lower_run<const RELU: bool>(
+    xt: &[f32],
+    g: usize,
+    c: usize,
+    table: &TapTable,
+    gathered: &mut [f32],
+    col: &mut [f32],
+) {
+    let (span_in, ncol) = (g * table.hw_in, g * table.hw_out);
+    debug_assert_eq!(xt.len(), c * span_in);
+    debug_assert_eq!(col.len(), c * table.taps * ncol);
+    let row_block = table.taps * ncol;
+    for ch in 0..c {
+        let xs = &xt[ch * span_in..(ch + 1) * span_in];
+        let rows = &mut col[ch * row_block..(ch + 1) * row_block];
+        table.for_each_tap(xs, g, gathered, |t, lanes, xv, valid| {
+            let row = &mut rows[t * ncol..(t + 1) * ncol];
+            row[..lanes.start].fill(0.0);
+            row[lanes.end..].fill(0.0);
+            for ((d, &v), &m) in row[lanes].iter_mut().zip(xv).zip(valid) {
+                *d = if !m {
+                    0.0
+                } else if RELU {
+                    v.max(0.0)
+                } else {
+                    v
+                };
+            }
+        });
+    }
+}
+
+/// [`lower_run`] with the fused ReLU chosen at run time.
+fn lower(
+    xt: &[f32],
+    g: usize,
+    c: usize,
+    table: &TapTable,
+    relu_input: bool,
+    gathered: &mut [f32],
+    col: &mut [f32],
+) {
+    if relu_input {
+        lower_run::<true>(xt, g, c, table, gathered, col);
+    } else {
+        lower_run::<false>(xt, g, c, table, gathered, col);
+    }
+}
+
 /// Scatters a column-matrix gradient back to the input gradient (adjoint of
-/// [`im2col`]): `dx[c, h, w] += col2im(dcol)`.
+/// a one-sample [`lower_run`]): `dx[c, h, w] += col2im(dcol)`.
 fn col2im_acc(
     dcol: &[f32],
     c: usize,
@@ -146,8 +364,8 @@ fn col2im_acc(
 /// Forward 2-D convolution.
 ///
 /// `x` is `[n, cin, h, w]`, `weight` is `[cout, cin, k, k]`; returns
-/// `[n, cout, hout, wout]` along with the cached im2col buffers used by
-/// the backward pass.
+/// `[n, cout, hout, wout]` along with the per-sample column matrices the
+/// backward pass reads.
 ///
 /// # Panics
 ///
@@ -159,11 +377,14 @@ pub fn conv2d_forward(x: &Tensor, weight: &Tensor, geom: ConvGeom) -> (Tensor, V
 /// Forward 2-D convolution with an explicit workspace arena and optional
 /// fused input ReLU.
 ///
-/// Like [`conv2d_forward`], but the im2col buffer is taken from `scratch`
+/// Like [`conv2d_forward`], but the column buffer is taken from `scratch`
 /// (return it with [`Scratch::give`] after the backward pass to make the
 /// next call allocation-free), and `relu_input = true` applies
 /// `max(0, ·)` to the input while lowering, so `relu(x)` never needs to
-/// be materialized.
+/// be materialized. Each sample is lowered on its own (a run of one) into
+/// its `cin·k·k × hout·wout` slice of the returned columns, which the
+/// backward pass reads per sample, and multiplied by `weight` straight
+/// into its slice of the output.
 ///
 /// # Panics
 ///
@@ -176,23 +397,37 @@ pub fn conv2d_forward_scratch(
     scratch: &mut Scratch,
 ) -> (Tensor, Vec<f32>) {
     let d = ConvDims::of(x, weight, geom);
-    let col_len = d.col_len();
-    // im2col overwrites every element (padding is written as an explicit
-    // zero), so the recycled buffer's contents don't matter.
+    let (col_len, in_len, out_len) = (d.col_len(), d.in_len(), d.out_len());
+    // The lowering overwrites every element (padding is written as an
+    // explicit zero), so the recycled buffer's contents don't matter.
     let mut cols = scratch.take(d.n * col_len);
     let mut out = Tensor::zeros(&[d.n, d.cout, d.hout, d.wout]);
+    let table = d.tap_table(1, scratch);
+    let mut gathered = scratch.take(table.gather_len());
     for i in 0..d.n {
         let col = &mut cols[i * col_len..(i + 1) * col_len];
-        conv_sample(&d, x, weight, relu_input, i, col, out.data_mut());
+        let xi = &x.data()[i * in_len..(i + 1) * in_len];
+        lower(xi, 1, d.cin, &table, relu_input, &mut gathered, col);
+        let oi = &mut out.data_mut()[i * out_len..(i + 1) * out_len];
+        sgemm(d.cout, d.ckk(), d.hout * d.wout, weight.data(), col, oi);
     }
+    scratch.give(gathered);
+    table.give(scratch);
     (out, cols)
 }
 
-/// Inference-only forward 2-D convolution: bit-identical to
-/// [`conv2d_forward_scratch`], but every sample is lowered into one
-/// `cin·k·k·hout·wout` column buffer instead of a whole-batch one, no
-/// columns are kept for a backward pass, and the output is drawn from
-/// `scratch` too. The column buffer goes back to `scratch` on return.
+/// Inference-only forward 2-D convolution, bit-identical to
+/// [`conv2d_forward_scratch`]: the batch is cut into runs of `g`
+/// samples whose columns fit a 64 Ki-float block, each run is lowered
+/// into one `cin·k·k × g·hout·wout` block and multiplied by `weight` in
+/// one GEMM, and the GEMM's `cout × g·hout·wout` result is copied into
+/// the NCHW output. No columns are kept for a backward pass; the column
+/// block and the GEMM result go back to `scratch` on return, and the
+/// output is drawn from it too.
+///
+/// Widening the GEMM moves no bit: each output element is the same
+/// multiply-add chain over its column whatever the column count (see
+/// DESIGN.md §9, "Tape-free f32 scoring").
 ///
 /// # Panics
 ///
@@ -205,15 +440,48 @@ pub fn conv2d_forward_infer(
     scratch: &mut Scratch,
 ) -> Tensor {
     let d = ConvDims::of(x, weight, geom);
-    let mut col = scratch.take(d.col_len());
-    // `sgemm` overwrites every output element, so the recycled buffer's
-    // contents don't matter.
+    let (col_len, in_len, out_len) = (d.col_len(), d.in_len(), d.out_len());
+    let (hw_in, hw_out) = (d.h * d.w, d.hout * d.wout);
+    let run = (COL_BLOCK / col_len.max(1)).clamp(1, d.n.max(1));
+    let table = d.tap_table(run, scratch);
+    let mut xt = scratch.take(run * in_len);
+    let mut gathered = scratch.take(table.gather_len());
+    let mut col = scratch.take(run * col_len);
+    let mut prod = scratch.take(run * out_len);
+    // Every output element is copied from a GEMM result, so the recycled
+    // buffer's contents don't matter.
     let shape = [d.n, d.cout, d.hout, d.wout];
     let mut out = Tensor::from_vec(&shape, scratch.take(shape.iter().product()));
-    for i in 0..d.n {
-        conv_sample(&d, x, weight, relu_input, i, &mut col, out.data_mut());
+    for s0 in (0..d.n).step_by(run) {
+        let g = run.min(d.n - s0);
+        let (xt, col, prod) = (
+            &mut xt[..g * in_len],
+            &mut col[..g * col_len],
+            &mut prod[..g * out_len],
+        );
+        // The run channel-major: plane `(s, ch)` moves to `ch·g + s`.
+        for (s, xs) in x.data()[s0 * in_len..(s0 + g) * in_len]
+            .chunks_exact(in_len)
+            .enumerate()
+        {
+            for (ch, plane) in xs.chunks_exact(hw_in).enumerate() {
+                xt[(ch * g + s) * hw_in..(ch * g + s + 1) * hw_in].copy_from_slice(plane);
+            }
+        }
+        lower(xt, g, d.cin, &table, relu_input, &mut gathered, col);
+        sgemm(d.cout, d.ckk(), g * hw_out, weight.data(), col, prod);
+        // `prod` is `[cout, g, hout·wout]`; the output is `[g, cout, hout·wout]`.
+        let or = &mut out.data_mut()[s0 * out_len..(s0 + g) * out_len];
+        for (co, prow) in prod.chunks_exact(g * hw_out).enumerate() {
+            for (s, plane) in prow.chunks_exact(hw_out).enumerate() {
+                or[s * out_len + co * hw_out..][..hw_out].copy_from_slice(plane);
+            }
+        }
     }
-    scratch.give(col);
+    for buf in [xt, gathered, col, prod] {
+        scratch.give(buf);
+    }
+    table.give(scratch);
     out
 }
 
@@ -253,40 +521,30 @@ impl ConvDims {
         }
     }
 
+    /// The tap table of a run of up to `planes` samples, from `scratch`.
+    fn tap_table(&self, planes: usize, scratch: &mut Scratch) -> TapTable {
+        TapTable::take(scratch, planes, self.h, self.w, self.geom, false)
+    }
+
+    /// GEMM depth, `cin·k·k`.
+    fn ckk(&self) -> usize {
+        self.cin * self.geom.k * self.geom.k
+    }
+
     /// Length of one sample's column matrix, `cin·k·k × hout·wout`.
     fn col_len(&self) -> usize {
-        self.cin * self.geom.k * self.geom.k * self.hout * self.wout
+        self.ckk() * self.hout * self.wout
     }
-}
 
-/// Lowers sample `i` of `x` into `col` and multiplies it by `weight` into
-/// sample `i` of `out`: the per-sample step both conv forwards share.
-#[inline(always)]
-fn conv_sample(
-    d: &ConvDims,
-    x: &Tensor,
-    weight: &Tensor,
-    relu_input: bool,
-    i: usize,
-    col: &mut [f32],
-    out: &mut [f32],
-) {
-    let (cin, h, w) = (d.cin, d.h, d.w);
-    let hw_out = d.hout * d.wout;
-    let xi = &x.data()[i * cin * h * w..(i + 1) * cin * h * w];
-    if relu_input {
-        im2col::<true>(xi, cin, h, w, d.geom, d.hout, d.wout, col);
-    } else {
-        im2col::<false>(xi, cin, h, w, d.geom, d.hout, d.wout, col);
+    /// Length of one input sample, `cin·h·w`.
+    fn in_len(&self) -> usize {
+        self.cin * self.h * self.w
     }
-    sgemm(
-        d.cout,
-        cin * d.geom.k * d.geom.k,
-        hw_out,
-        weight.data(),
-        col,
-        &mut out[i * d.cout * hw_out..(i + 1) * d.cout * hw_out],
-    );
+
+    /// Length of one output sample, `cout·hout·wout`.
+    fn out_len(&self) -> usize {
+        self.cout * self.hout * self.wout
+    }
 }
 
 /// Backward 2-D convolution. Returns `(dx, dweight)`.
@@ -346,8 +604,8 @@ pub fn conv2d_backward_scratch(
 
 /// Valid output range `[lo, hi)` for window tap `kk`: the outputs `o`
 /// with `0 <= o*stride + kk - pad < limit_in`, clamped to `limit_out`.
-/// Hoisting this per tap removes every bounds branch from the inner
-/// loops of the windowed ops below.
+/// The tap tables' masks and the average pool's count table are built
+/// from it, so no kernel loop tests bounds.
 #[inline]
 fn tap_range(
     kk: usize,
@@ -378,7 +636,8 @@ fn zeroed_from(scratch: &mut Scratch, shape: [usize; 4]) -> Tensor {
 
 /// Forward depthwise convolution: `x` `[n, c, h, w]`, `weight` `[c, k, k]`.
 pub fn dwconv2d_forward(x: &Tensor, weight: &Tensor, geom: ConvGeom) -> Tensor {
-    dwconv2d_acc(x, weight, geom, Tensor::zeros(&window_out_shape(x, geom)))
+    let out = Tensor::zeros(&window_out_shape(x, geom));
+    dwconv2d_acc(x, weight, geom, out, &mut Scratch::new())
 }
 
 /// [`dwconv2d_forward`] with its output drawn from `scratch`.
@@ -389,53 +648,48 @@ pub fn dwconv2d_forward_scratch(
     scratch: &mut Scratch,
 ) -> Tensor {
     let out = zeroed_from(scratch, window_out_shape(x, geom));
-    dwconv2d_acc(x, weight, geom, out)
+    dwconv2d_acc(x, weight, geom, out, scratch)
 }
 
-/// Accumulates the depthwise convolution of `x` into the zeroed `out`.
-fn dwconv2d_acc(x: &Tensor, weight: &Tensor, geom: ConvGeom, mut out: Tensor) -> Tensor {
+/// Accumulates the depthwise convolution of `x` into the zeroed `out`:
+/// tap by tap, every valid lane of a sample adds `weight · input` (a
+/// multiply, then an add) to its running sum.
+fn dwconv2d_acc(
+    x: &Tensor,
+    weight: &Tensor,
+    geom: ConvGeom,
+    mut out: Tensor,
+    scratch: &mut Scratch,
+) -> Tensor {
     let (n, c, h, w) = shape4(x);
     let ws = weight.shape();
     assert_eq!(ws, &[c, geom.k, geom.k], "dwconv weight shape");
     let (hout, wout) = (out.shape()[2], out.shape()[3]);
-    let k = geom.k;
-    let (s, pad) = (geom.stride, geom.pad);
-    // Tap-outer accumulation: for each kernel tap, the valid output
-    // rectangle is precomputed and the inner `ox` loop is a branch-free
-    // (contiguous when stride 1) multiply-accumulate.
-    for i in 0..n {
+    let taps = TapTable::take(scratch, c, h, w, geom, false);
+    let (kk, span, hw_out, in_len) = (taps.taps, c * hout * wout, hout * wout, c * h * w);
+    // Each lane's weight for each tap: channel `ch`'s tap weight across
+    // its plane.
+    let mut lane_w = scratch.take(kk * span);
+    for t in 0..kk {
         for ch in 0..c {
-            let xc = &x.data()[(i * c + ch) * h * w..(i * c + ch + 1) * h * w];
-            let wc = &weight.data()[ch * k * k..(ch + 1) * k * k];
-            let oc =
-                &mut out.data_mut()[(i * c + ch) * hout * wout..(i * c + ch + 1) * hout * wout];
-            for ky in 0..k {
-                let (oy_lo, oy_hi) = tap_range(ky, pad, s, h, hout);
-                for kx in 0..k {
-                    let (lo, hi) = tap_range(kx, pad, s, w, wout);
-                    if hi == lo {
-                        continue;
-                    }
-                    let wv = wc[ky * k + kx];
-                    let x0 = lo * s + kx - pad;
-                    for oy in oy_lo..oy_hi {
-                        let iy = oy * s + ky - pad;
-                        let xrow = &xc[iy * w..(iy + 1) * w];
-                        let orow = &mut oc[oy * wout + lo..oy * wout + hi];
-                        if s == 1 {
-                            for (o, xv) in orow.iter_mut().zip(&xrow[x0..x0 + (hi - lo)]) {
-                                *o += wv * *xv;
-                            }
-                        } else {
-                            for (o, xv) in orow.iter_mut().zip(xrow[x0..].iter().step_by(s)) {
-                                *o += wv * *xv;
-                            }
-                        }
-                    }
-                }
-            }
+            let wv = weight.data()[ch * kk + t];
+            lane_w[t * span + ch * hw_out..t * span + (ch + 1) * hw_out].fill(wv);
         }
     }
+    let mut gathered = scratch.take(taps.gather_len());
+    for i in 0..n {
+        let xs = &x.data()[i * in_len..(i + 1) * in_len];
+        let os = &mut out.data_mut()[i * span..(i + 1) * span];
+        taps.for_each_tap(xs, c, &mut gathered, |t, lanes, xv, valid| {
+            let wt = &lane_w[t * span..(t + 1) * span][lanes.clone()];
+            for (((o, &v), &m), &wv) in os[lanes].iter_mut().zip(xv).zip(valid).zip(wt) {
+                *o = if m { *o + wv * v } else { *o };
+            }
+        });
+    }
+    scratch.give(lane_w);
+    scratch.give(gathered);
+    taps.give(scratch);
     out
 }
 
@@ -501,11 +755,17 @@ pub fn dwconv2d_backward(
 }
 
 /// Forward max pooling; returns the output and the argmax index (into the
-/// flattened per-sample input) for each output element, used by backward.
+/// flattened input plane) for each output element, used by backward.
 pub fn maxpool_forward(x: &Tensor, geom: ConvGeom) -> (Tensor, Vec<u32>) {
     let shape = window_out_shape(x, geom);
     let mut arg = vec![0u32; shape.iter().product()];
-    let out = maxpool_into::<true>(x, geom, Tensor::zeros(&shape), &mut arg);
+    let out = maxpool_into::<true>(
+        x,
+        geom,
+        Tensor::zeros(&shape),
+        &mut arg,
+        &mut Scratch::new(),
+    );
     (out, arg)
 }
 
@@ -514,70 +774,54 @@ pub fn maxpool_forward(x: &Tensor, geom: ConvGeom) -> (Tensor, Vec<u32>) {
 pub fn maxpool_forward_scratch(x: &Tensor, geom: ConvGeom, scratch: &mut Scratch) -> Tensor {
     let shape = window_out_shape(x, geom);
     let out = Tensor::from_vec(&shape, scratch.take(shape.iter().product()));
-    maxpool_into::<false>(x, geom, out, &mut [])
+    maxpool_into::<false>(x, geom, out, &mut [], scratch)
 }
 
 /// Writes every window's maximum into `out` (whose contents are
-/// overwritten) and, with `ARG`, its argmax into `arg`.
+/// overwritten) and, with `ARG`, its argmax into `arg` (whose entries
+/// are kept where no tap is greater than `-inf`).
 fn maxpool_into<const ARG: bool>(
     x: &Tensor,
     geom: ConvGeom,
     mut out: Tensor,
     arg: &mut [u32],
+    scratch: &mut Scratch,
 ) -> Tensor {
     let (n, c, h, w) = shape4(x);
     let (hout, wout) = (out.shape()[2], out.shape()[3]);
-    let (s, pad, k) = (geom.stride, geom.pad, geom.k);
     out.data_mut().fill(f32::NEG_INFINITY);
-    // Tap-outer running max. Taps are visited in the same (ky, kx) order
-    // as the per-window scan and only a *strictly* greater value replaces
-    // the running best, so ties resolve to the first tap exactly as
-    // before; the branch-free select compiles to cmov/blend.
+    let taps = TapTable::take(scratch, c, h, w, geom, ARG);
+    let (span, in_len) = (c * hout * wout, c * h * w);
+    let mut gathered = scratch.take(taps.gather_len());
+    // Running max, tap by tap in (ky, kx) order: only a *strictly*
+    // greater value replaces the running best, so ties resolve to the
+    // first tap, and the branch-free select compiles to blends.
     for i in 0..n {
-        for ch in 0..c {
-            let base = (i * c + ch) * h * w;
-            let xc = &x.data()[base..base + h * w];
-            let obase = (i * c + ch) * hout * wout;
-            let oc = &mut out.data_mut()[obase..obase + hout * wout];
-            let ac: &mut [u32] = if ARG {
-                &mut arg[obase..obase + hout * wout]
+        let xs = &x.data()[i * in_len..(i + 1) * in_len];
+        let os = &mut out.data_mut()[i * span..(i + 1) * span];
+        let args: &mut [u32] = if ARG {
+            &mut arg[i * span..(i + 1) * span]
+        } else {
+            &mut []
+        };
+        taps.for_each_tap(xs, c, &mut gathered, |t, lanes, xv, valid| {
+            if ARG {
+                let src = &taps.plane[t * taps.lanes..t * taps.lanes + span][lanes.clone()];
+                let lanes = os[lanes.clone()].iter_mut().zip(&mut args[lanes]);
+                for ((((o, a), &v), &m), &p) in lanes.zip(xv).zip(valid).zip(src) {
+                    let better = m && v > *o;
+                    *a = if better { p } else { *a };
+                    *o = if better { v } else { *o };
+                }
             } else {
-                &mut []
-            };
-            for ky in 0..k {
-                let (oy_lo, oy_hi) = tap_range(ky, pad, s, h, hout);
-                for kx in 0..k {
-                    let (lo, hi) = tap_range(kx, pad, s, w, wout);
-                    if hi == lo {
-                        continue;
-                    }
-                    let x0 = lo * s + kx - pad;
-                    for oy in oy_lo..oy_hi {
-                        let iy = oy * s + ky - pad;
-                        let xrow = &xc[iy * w..(iy + 1) * w];
-                        let orow = &mut oc[oy * wout + lo..oy * wout + hi];
-                        let mut ix = x0;
-                        if ARG {
-                            let arow = &mut ac[oy * wout + lo..oy * wout + hi];
-                            for (o, a) in orow.iter_mut().zip(arow.iter_mut()) {
-                                let v = xrow[ix];
-                                let better = v > *o;
-                                *a = if better { (iy * w + ix) as u32 } else { *a };
-                                *o = if better { v } else { *o };
-                                ix += s;
-                            }
-                        } else {
-                            for o in orow.iter_mut() {
-                                let v = xrow[ix];
-                                *o = if v > *o { v } else { *o };
-                                ix += s;
-                            }
-                        }
-                    }
+                for ((o, &v), &m) in os[lanes].iter_mut().zip(xv).zip(valid) {
+                    *o = if m && v > *o { v } else { *o };
                 }
             }
-        }
+        });
     }
+    scratch.give(gathered);
+    taps.give(scratch);
     out
 }
 
@@ -602,17 +846,18 @@ pub fn maxpool_backward(x_shape: &[usize], geom: ConvGeom, arg: &[u32], dout: &T
 /// Forward average pooling (padding excluded from the divisor, matching
 /// `count_include_pad=False`).
 pub fn avgpool_forward(x: &Tensor, geom: ConvGeom) -> Tensor {
-    avgpool_acc(x, geom, Tensor::zeros(&window_out_shape(x, geom)))
+    let out = Tensor::zeros(&window_out_shape(x, geom));
+    avgpool_acc(x, geom, out, &mut Scratch::new())
 }
 
 /// [`avgpool_forward`] with its output drawn from `scratch`.
 pub fn avgpool_forward_scratch(x: &Tensor, geom: ConvGeom, scratch: &mut Scratch) -> Tensor {
     let out = zeroed_from(scratch, window_out_shape(x, geom));
-    avgpool_acc(x, geom, out)
+    avgpool_acc(x, geom, out, scratch)
 }
 
 /// Accumulates the window averages of `x` into the zeroed `out`.
-fn avgpool_acc(x: &Tensor, geom: ConvGeom, mut out: Tensor) -> Tensor {
+fn avgpool_acc(x: &Tensor, geom: ConvGeom, mut out: Tensor, scratch: &mut Scratch) -> Tensor {
     let (n, c, h, w) = shape4(x);
     let (hout, wout) = (out.shape()[2], out.shape()[3]);
     let (s, pad, k) = (geom.stride, geom.pad, geom.k);
@@ -636,42 +881,27 @@ fn avgpool_acc(x: &Tensor, geom: ConvGeom, mut out: Tensor) -> Tensor {
             inv_cnt[oy * wout + ox] = 1.0 / (cnt_y[oy] * cnt_x[ox]).max(1) as f32;
         }
     }
-    // Tap-outer accumulate, then one scale pass by the count table.
+    let taps = TapTable::take(scratch, c, h, w, geom, false);
+    let (span, in_len) = (c * hout * wout, c * h * w);
+    let mut gathered = scratch.take(taps.gather_len());
+    // Tap-by-tap sums over a sample's lanes, then one scale pass by the
+    // count table.
     for i in 0..n {
-        for ch in 0..c {
-            let base = (i * c + ch) * h * w;
-            let xc = &x.data()[base..base + h * w];
-            let obase = (i * c + ch) * hout * wout;
-            let oc = &mut out.data_mut()[obase..obase + hout * wout];
-            for ky in 0..k {
-                let (oy_lo, oy_hi) = tap_range(ky, pad, s, h, hout);
-                for kx in 0..k {
-                    let (lo, hi) = tap_range(kx, pad, s, w, wout);
-                    if hi == lo {
-                        continue;
-                    }
-                    let x0 = lo * s + kx - pad;
-                    for oy in oy_lo..oy_hi {
-                        let iy = oy * s + ky - pad;
-                        let xrow = &xc[iy * w..(iy + 1) * w];
-                        let orow = &mut oc[oy * wout + lo..oy * wout + hi];
-                        if s == 1 {
-                            for (o, xv) in orow.iter_mut().zip(&xrow[x0..x0 + (hi - lo)]) {
-                                *o += *xv;
-                            }
-                        } else {
-                            for (o, xv) in orow.iter_mut().zip(xrow[x0..].iter().step_by(s)) {
-                                *o += *xv;
-                            }
-                        }
-                    }
-                }
+        let xs = &x.data()[i * in_len..(i + 1) * in_len];
+        let os = &mut out.data_mut()[i * span..(i + 1) * span];
+        taps.for_each_tap(xs, c, &mut gathered, |_, lanes, xv, valid| {
+            for ((o, &v), &m) in os[lanes].iter_mut().zip(xv).zip(valid) {
+                *o = if m { *o + v } else { *o };
             }
-            for (o, iv) in oc.iter_mut().zip(&inv_cnt) {
+        });
+        for plane in os.chunks_exact_mut(hout * wout) {
+            for (o, iv) in plane.iter_mut().zip(&inv_cnt) {
                 *o *= *iv;
             }
         }
     }
+    scratch.give(gathered);
+    taps.give(scratch);
     out
 }
 
@@ -737,7 +967,345 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// Values that salt test inputs: signed zero, NaN, infinities and
+    /// outliers.
+    const INPUT_SPECIALS: [f32; 6] = [-0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e6, -1e6];
+    /// Values that salt test weights.
+    const WEIGHT_SPECIALS: [f32; 3] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+
+    /// Standard-normal values with about one in `every` replaced by one
+    /// of `specials`.
+    fn salted(shape: &[usize], specials: &[f32], every: u32, rng: &mut StdRng) -> Tensor {
+        let mut t = Tensor::randn(shape, 1.0, rng);
+        for v in t.data_mut() {
+            if rng.random_range(0..every) == 0 {
+                *v = specials[rng.random_range(0..specials.len())];
+            }
+        }
+        t
+    }
+
+    /// An arena of stale NaN buffers of assorted sizes.
+    fn stale_scratch() -> Scratch {
+        let mut scratch = Scratch::new();
+        for len in [64, 4096, 4096, 20_000, 70_000, 300_000] {
+            scratch.give(vec![f32::NAN; len]);
+        }
+        scratch
+    }
+
+    /// A tensor's bit patterns, with every NaN read as the canonical one:
+    /// Rust leaves the sign and payload of a NaN result unspecified (an
+    /// `a + b` of two NaNs may return either), so only NaN-ness can be
+    /// pinned.
+    fn bits(t: &Tensor) -> Vec<u32> {
+        bit_patterns(t.data())
+    }
+
+    fn bit_patterns(v: &[f32]) -> Vec<u32> {
+        let canonical = |v: &f32| if v.is_nan() { f32::NAN } else { *v }.to_bits();
+        v.iter().map(canonical).collect()
+    }
+
+    /// Lowers `g` NCHW samples as the conv forwards do: copied
+    /// channel-major, then [`lower`]ed through a table of `table_planes`
+    /// planes into a column block prefilled with NaN.
+    fn lower_samples(
+        x: &[f32],
+        g: usize,
+        table_planes: usize,
+        c: usize,
+        h: usize,
+        w: usize,
+        geom: ConvGeom,
+        relu: bool,
+    ) -> Vec<f32> {
+        let (hout, wout) = (geom.out_dim(h), geom.out_dim(w));
+        let table = TapTable::new(table_planes, h, w, geom, hout, wout, false);
+        let hw = h * w;
+        let mut xt = vec![f32::NAN; x.len()];
+        for s in 0..g {
+            for ch in 0..c {
+                xt[(ch * g + s) * hw..(ch * g + s + 1) * hw]
+                    .copy_from_slice(&x[(s * c + ch) * hw..(s * c + ch + 1) * hw]);
+            }
+        }
+        let mut col = vec![f32::NAN; c * geom.k * geom.k * g * hout * wout];
+        let mut gathered = vec![f32::NAN; table.gather_len()];
+        lower(&xt, g, c, &table, relu, &mut gathered, &mut col);
+        col
+    }
+
+    /// Kernel sizes 1, 3 and 5.
+    fn odd_kernel() -> impl Strategy<Value = usize> {
+        (0usize..3).prop_map(|i| 2 * i + 1)
+    }
+
+    /// The per-sample `im2col` and per-row window loops the kernels above
+    /// replaced, kept as bitwise oracles: the run lowering, the batched
+    /// conv and the whole-sample window kernels must reproduce them bit
+    /// for bit.
+    mod oracle {
+        use super::super::{shape4, tap_range, ConvGeom};
+        use crate::matmul::sgemm;
+        use crate::tensor::Tensor;
+
+        /// Lowers one sample `x[c, h, w]` into a column matrix `[c*k*k, hout*wout]`.
+        ///
+        /// With `RELU = true`, applies `max(0, ·)` to each element while copying —
+        /// the fused forward path uses this to avoid materializing a separate
+        /// ReLU output tensor. The flag is a const generic so the branch
+        /// disappears from the generated inner loops.
+        pub(super) fn im2col<const RELU: bool>(
+            x: &[f32],
+            c: usize,
+            h: usize,
+            w: usize,
+            g: ConvGeom,
+            hout: usize,
+            wout: usize,
+            col: &mut [f32],
+        ) {
+            let k = g.k;
+            debug_assert_eq!(col.len(), c * k * k * hout * wout);
+            let hw_out = hout * wout;
+            for ch in 0..c {
+                let xc = &x[ch * h * w..(ch + 1) * h * w];
+                for ky in 0..k {
+                    for kx in 0..k {
+                        let row = ((ch * k + ky) * k + kx) * hw_out;
+                        for oy in 0..hout {
+                            let iy = (oy * g.stride + ky) as isize - g.pad as isize;
+                            let dst = &mut col[row + oy * wout..row + (oy + 1) * wout];
+                            if iy < 0 || iy >= h as isize {
+                                for v in dst.iter_mut() {
+                                    *v = 0.0;
+                                }
+                                continue;
+                            }
+                            let xrow = &xc[iy as usize * w..(iy as usize + 1) * w];
+                            for (ox, v) in dst.iter_mut().enumerate() {
+                                let ix = (ox * g.stride + kx) as isize - g.pad as isize;
+                                *v = if ix < 0 || ix >= w as isize {
+                                    0.0
+                                } else if RELU {
+                                    xrow[ix as usize].max(0.0)
+                                } else {
+                                    xrow[ix as usize]
+                                };
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Accumulates the depthwise convolution of `x` into the zeroed `out`.
+        pub(super) fn dwconv2d_acc(
+            x: &Tensor,
+            weight: &Tensor,
+            geom: ConvGeom,
+            mut out: Tensor,
+        ) -> Tensor {
+            let (n, c, h, w) = shape4(x);
+            let ws = weight.shape();
+            assert_eq!(ws, &[c, geom.k, geom.k], "dwconv weight shape");
+            let (hout, wout) = (out.shape()[2], out.shape()[3]);
+            let k = geom.k;
+            let (s, pad) = (geom.stride, geom.pad);
+            // Tap-outer accumulation: for each kernel tap, the valid output
+            // rectangle is precomputed and the inner `ox` loop is a branch-free
+            // (contiguous when stride 1) multiply-accumulate.
+            for i in 0..n {
+                for ch in 0..c {
+                    let xc = &x.data()[(i * c + ch) * h * w..(i * c + ch + 1) * h * w];
+                    let wc = &weight.data()[ch * k * k..(ch + 1) * k * k];
+                    let oc = &mut out.data_mut()
+                        [(i * c + ch) * hout * wout..(i * c + ch + 1) * hout * wout];
+                    for ky in 0..k {
+                        let (oy_lo, oy_hi) = tap_range(ky, pad, s, h, hout);
+                        for kx in 0..k {
+                            let (lo, hi) = tap_range(kx, pad, s, w, wout);
+                            if hi == lo {
+                                continue;
+                            }
+                            let wv = wc[ky * k + kx];
+                            let x0 = lo * s + kx - pad;
+                            for oy in oy_lo..oy_hi {
+                                let iy = oy * s + ky - pad;
+                                let xrow = &xc[iy * w..(iy + 1) * w];
+                                let orow = &mut oc[oy * wout + lo..oy * wout + hi];
+                                if s == 1 {
+                                    for (o, xv) in orow.iter_mut().zip(&xrow[x0..x0 + (hi - lo)]) {
+                                        *o += wv * *xv;
+                                    }
+                                } else {
+                                    for (o, xv) in orow.iter_mut().zip(xrow[x0..].iter().step_by(s))
+                                    {
+                                        *o += wv * *xv;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        /// Writes every window's maximum into `out` (whose contents are
+        /// overwritten) and, with `ARG`, its argmax into `arg`.
+        pub(super) fn maxpool_into<const ARG: bool>(
+            x: &Tensor,
+            geom: ConvGeom,
+            mut out: Tensor,
+            arg: &mut [u32],
+        ) -> Tensor {
+            let (n, c, h, w) = shape4(x);
+            let (hout, wout) = (out.shape()[2], out.shape()[3]);
+            let (s, pad, k) = (geom.stride, geom.pad, geom.k);
+            out.data_mut().fill(f32::NEG_INFINITY);
+            // Tap-outer running max. Taps are visited in the same (ky, kx) order
+            // as the per-window scan and only a *strictly* greater value replaces
+            // the running best, so ties resolve to the first tap exactly as
+            // before; the branch-free select compiles to cmov/blend.
+            for i in 0..n {
+                for ch in 0..c {
+                    let base = (i * c + ch) * h * w;
+                    let xc = &x.data()[base..base + h * w];
+                    let obase = (i * c + ch) * hout * wout;
+                    let oc = &mut out.data_mut()[obase..obase + hout * wout];
+                    let ac: &mut [u32] = if ARG {
+                        &mut arg[obase..obase + hout * wout]
+                    } else {
+                        &mut []
+                    };
+                    for ky in 0..k {
+                        let (oy_lo, oy_hi) = tap_range(ky, pad, s, h, hout);
+                        for kx in 0..k {
+                            let (lo, hi) = tap_range(kx, pad, s, w, wout);
+                            if hi == lo {
+                                continue;
+                            }
+                            let x0 = lo * s + kx - pad;
+                            for oy in oy_lo..oy_hi {
+                                let iy = oy * s + ky - pad;
+                                let xrow = &xc[iy * w..(iy + 1) * w];
+                                let orow = &mut oc[oy * wout + lo..oy * wout + hi];
+                                let mut ix = x0;
+                                if ARG {
+                                    let arow = &mut ac[oy * wout + lo..oy * wout + hi];
+                                    for (o, a) in orow.iter_mut().zip(arow.iter_mut()) {
+                                        let v = xrow[ix];
+                                        let better = v > *o;
+                                        *a = if better { (iy * w + ix) as u32 } else { *a };
+                                        *o = if better { v } else { *o };
+                                        ix += s;
+                                    }
+                                } else {
+                                    for o in orow.iter_mut() {
+                                        let v = xrow[ix];
+                                        *o = if v > *o { v } else { *o };
+                                        ix += s;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        /// Accumulates the window averages of `x` into the zeroed `out`.
+        pub(super) fn avgpool_acc(x: &Tensor, geom: ConvGeom, mut out: Tensor) -> Tensor {
+            let (n, c, h, w) = shape4(x);
+            let (hout, wout) = (out.shape()[2], out.shape()[3]);
+            let (s, pad, k) = (geom.stride, geom.pad, geom.k);
+            // Per-position reciprocal valid-count table, shared by every (n, c)
+            // plane: the count factorizes as (#valid ky) * (#valid kx).
+            let mut cnt_y = vec![0u32; hout];
+            let mut cnt_x = vec![0u32; wout];
+            for kk in 0..k {
+                let (lo, hi) = tap_range(kk, pad, s, h, hout);
+                for cy in &mut cnt_y[lo..hi] {
+                    *cy += 1;
+                }
+                let (lo, hi) = tap_range(kk, pad, s, w, wout);
+                for cx in &mut cnt_x[lo..hi] {
+                    *cx += 1;
+                }
+            }
+            let mut inv_cnt = vec![0.0f32; hout * wout];
+            for oy in 0..hout {
+                for ox in 0..wout {
+                    inv_cnt[oy * wout + ox] = 1.0 / (cnt_y[oy] * cnt_x[ox]).max(1) as f32;
+                }
+            }
+            // Tap-outer accumulate, then one scale pass by the count table.
+            for i in 0..n {
+                for ch in 0..c {
+                    let base = (i * c + ch) * h * w;
+                    let xc = &x.data()[base..base + h * w];
+                    let obase = (i * c + ch) * hout * wout;
+                    let oc = &mut out.data_mut()[obase..obase + hout * wout];
+                    for ky in 0..k {
+                        let (oy_lo, oy_hi) = tap_range(ky, pad, s, h, hout);
+                        for kx in 0..k {
+                            let (lo, hi) = tap_range(kx, pad, s, w, wout);
+                            if hi == lo {
+                                continue;
+                            }
+                            let x0 = lo * s + kx - pad;
+                            for oy in oy_lo..oy_hi {
+                                let iy = oy * s + ky - pad;
+                                let xrow = &xc[iy * w..(iy + 1) * w];
+                                let orow = &mut oc[oy * wout + lo..oy * wout + hi];
+                                if s == 1 {
+                                    for (o, xv) in orow.iter_mut().zip(&xrow[x0..x0 + (hi - lo)]) {
+                                        *o += *xv;
+                                    }
+                                } else {
+                                    for (o, xv) in orow.iter_mut().zip(xrow[x0..].iter().step_by(s))
+                                    {
+                                        *o += *xv;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    for (o, iv) in oc.iter_mut().zip(&inv_cnt) {
+                        *o *= *iv;
+                    }
+                }
+            }
+            out
+        }
+
+        /// The per-sample conv forward: each sample lowered by [`im2col`]
+        /// and multiplied by `weight` in a GEMM of its own.
+        pub(super) fn conv2d(x: &Tensor, weight: &Tensor, g: ConvGeom, relu: bool) -> Tensor {
+            let (n, cin, h, w) = shape4(x);
+            let cout = weight.shape()[0];
+            let (hout, wout) = (g.out_dim(h), g.out_dim(w));
+            let (ckk, hw) = (cin * g.k * g.k, hout * wout);
+            let mut col = vec![0.0f32; ckk * hw];
+            let mut out = Tensor::zeros(&[n, cout, hout, wout]);
+            for i in 0..n {
+                let xi = &x.data()[i * cin * h * w..(i + 1) * cin * h * w];
+                if relu {
+                    im2col::<true>(xi, cin, h, w, g, hout, wout, &mut col);
+                } else {
+                    im2col::<false>(xi, cin, h, w, g, hout, wout, &mut col);
+                }
+                let oi = &mut out.data_mut()[i * cout * hw..(i + 1) * cout * hw];
+                sgemm(cout, ckk, hw, weight.data(), &col, oi);
+            }
+            out
+        }
+    }
 
     /// Direct (non-im2col) convolution — the oracle the GEMM-lowered
     /// path is checked against.
@@ -828,8 +1396,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(33);
         let x = Tensor::randn(&[1, 3, 4, 5], 1.0, &mut rng);
         let g = ConvGeom::new(1, 1, 0);
-        let mut col = vec![0.0f32; x.len()];
-        im2col::<false>(x.data(), 3, 4, 5, g, 4, 5, &mut col);
+        let col = lower_samples(x.data(), 1, 1, 3, 4, 5, g, false);
         assert_eq!(col, x.data());
         let mut back = vec![0.0f32; x.len()];
         col2im_acc(&col, 3, 4, 5, g, 4, 5, &mut back);
@@ -839,9 +1406,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// col2im is the adjoint of im2col: `<im2col(x), y> == <x, col2im(y)>`
-        /// for every geometry — the round-trip identity the conv backward
-        /// pass relies on.
+        /// col2im is the adjoint of a one-sample lowering:
+        /// `<lower(x), y> == <x, col2im(y)>` for every geometry — the
+        /// round-trip identity the conv backward pass relies on.
         #[test]
         fn im2col_col2im_adjoint(
             seed in 0u64..1000,
@@ -859,8 +1426,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let x = Tensor::randn(&[1, c, h, w], 1.0, &mut rng);
             let y = Tensor::randn(&[1, c * k * k, hout, wout], 1.0, &mut rng);
-            let mut col = vec![0.0f32; c * k * k * hout * wout];
-            im2col::<false>(x.data(), c, h, w, g, hout, wout, &mut col);
+            let col = lower_samples(x.data(), 1, 1, c, h, w, g, false);
             let mut back = vec![0.0f32; c * h * w];
             col2im_acc(y.data(), c, h, w, g, hout, wout, &mut back);
             let lhs: f64 = col.iter().zip(y.data()).map(|(a, b)| (a * b) as f64).sum();
@@ -907,26 +1473,23 @@ mod tests {
         #[test]
         fn scratch_kernels_match_allocating_kernels_bitwise(
             seed in 0u64..1000,
-            n in 1usize..5,
-            cin in 1usize..4,
-            cout in 1usize..4,
-            h in 3usize..8,
-            w in 3usize..8,
-            k in 1usize..4,
+            n in 1usize..41,
+            cin in 1usize..5,
+            cout in 1usize..5,
+            h in 1usize..13,
+            w in 1usize..13,
+            k in 1usize..6,
             stride in 1usize..3,
-            pad in 0usize..2,
+            pad in 0usize..3,
             relu in any::<bool>(),
         ) {
+            prop_assume!(k <= h + 2 * pad && k <= w + 2 * pad);
             let g = ConvGeom::new(k, stride, pad);
             let mut rng = StdRng::seed_from_u64(seed);
-            let x = Tensor::randn(&[n, cin, h, w], 1.0, &mut rng);
-            let wt = Tensor::randn(&[cout, cin, k, k], 0.5, &mut rng);
-            let dw = Tensor::randn(&[cin, k, k], 0.5, &mut rng);
-            let mut scratch = Scratch::new();
-            for _ in 0..8 {
-                scratch.give(vec![f32::NAN; 4096]);
-            }
-            let bits = |t: &Tensor| (t.shape().to_vec(), t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+            let x = salted(&[n, cin, h, w], &INPUT_SPECIALS, 8, &mut rng);
+            let wt = salted(&[cout, cin, k, k], &WEIGHT_SPECIALS, 64, &mut rng);
+            let dw = salted(&[cin, k, k], &WEIGHT_SPECIALS, 64, &mut rng);
+            let mut scratch = stale_scratch();
             let (conv, _) = conv2d_forward_scratch(&x, &wt, g, relu, &mut Scratch::new());
             prop_assert_eq!(bits(&conv2d_forward_infer(&x, &wt, g, relu, &mut scratch)), bits(&conv));
             prop_assert_eq!(
@@ -941,6 +1504,183 @@ mod tests {
                 bits(&avgpool_forward_scratch(&x, g, &mut scratch)),
                 bits(&avgpool_forward(&x, g))
             );
+        }
+
+        /// The run lowering writes the oracle `im2col`'s columns bit for
+        /// bit, one sample at a time (training's layout) and in runs of
+        /// up to `run` samples (inference's, the last run shorter than its
+        /// table), into blocks prefilled with NaN.
+        #[test]
+        fn lowering_matches_im2col_oracle_bitwise(
+            seed in 0u64..1000,
+            n in 1usize..41,
+            c in 1usize..5,
+            h in 1usize..13,
+            w in 1usize..13,
+            k in odd_kernel(),
+            stride in 1usize..3,
+            pad in 0usize..3,
+            relu in any::<bool>(),
+            run in 1usize..41,
+        ) {
+            prop_assume!(k <= h + 2 * pad && k <= w + 2 * pad);
+            let g = ConvGeom::new(k, stride, pad);
+            let (hout, wout) = (g.out_dim(h), g.out_dim(w));
+            let (ckk, hw, in_len) = (c * k * k, hout * wout, c * h * w);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let x = salted(&[n, c, h, w], &INPUT_SPECIALS, 8, &mut rng);
+            let want: Vec<Vec<u32>> = (0..n)
+                .map(|i| {
+                    let mut col = vec![f32::NAN; ckk * hw];
+                    let xi = &x.data()[i * in_len..(i + 1) * in_len];
+                    if relu {
+                        oracle::im2col::<true>(xi, c, h, w, g, hout, wout, &mut col);
+                    } else {
+                        oracle::im2col::<false>(xi, c, h, w, g, hout, wout, &mut col);
+                    }
+                    bit_patterns(&col)
+                })
+                .collect();
+            for (i, want_i) in want.iter().enumerate() {
+                let xi = &x.data()[i * in_len..(i + 1) * in_len];
+                let col = lower_samples(xi, 1, 1, c, h, w, g, relu);
+                prop_assert_eq!(&bit_patterns(&col), want_i);
+            }
+            for s0 in (0..n).step_by(run) {
+                let g_run = run.min(n - s0);
+                let xr = &x.data()[s0 * in_len..(s0 + g_run) * in_len];
+                let col = lower_samples(xr, g_run, run, c, h, w, g, relu);
+                for r in 0..ckk {
+                    for s in 0..g_run {
+                        let got = bit_patterns(&col[(r * g_run + s) * hw..(r * g_run + s + 1) * hw]);
+                        prop_assert_eq!(&got[..], &want[s0 + s][r * hw..(r + 1) * hw]);
+                    }
+                }
+            }
+        }
+
+        /// Both conv forwards equal the per-sample `im2col` + GEMM oracle
+        /// bit for bit, on inputs salted with signed zeros, NaN, infinities
+        /// and outliers and weights salted with NaN and infinities.
+        #[test]
+        fn conv_forwards_match_per_sample_oracle_bitwise(
+            seed in 0u64..1000,
+            n in 1usize..41,
+            cin in 1usize..5,
+            cout in 1usize..5,
+            h in 1usize..13,
+            w in 1usize..13,
+            k in odd_kernel(),
+            stride in 1usize..3,
+            pad in 0usize..3,
+            relu in any::<bool>(),
+        ) {
+            prop_assume!(k <= h + 2 * pad && k <= w + 2 * pad);
+            let g = ConvGeom::new(k, stride, pad);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let x = salted(&[n, cin, h, w], &INPUT_SPECIALS, 8, &mut rng);
+            let wt = salted(&[cout, cin, k, k], &WEIGHT_SPECIALS, 64, &mut rng);
+            let want = bits(&oracle::conv2d(&x, &wt, g, relu));
+            let got = conv2d_forward_infer(&x, &wt, g, relu, &mut stale_scratch());
+            prop_assert_eq!(bits(&got), want.clone());
+            let (got, _) = conv2d_forward_scratch(&x, &wt, g, relu, &mut stale_scratch());
+            prop_assert_eq!(bits(&got), want);
+        }
+
+        /// The whole-sample depthwise, max (with and without argmax) and
+        /// average pooling kernels equal the per-row oracles bit for bit.
+        #[test]
+        fn window_kernels_match_row_oracles_bitwise(
+            seed in 0u64..1000,
+            n in 1usize..41,
+            c in 1usize..5,
+            h in 1usize..13,
+            w in 1usize..13,
+            k in odd_kernel(),
+            stride in 1usize..3,
+            pad in 0usize..3,
+        ) {
+            prop_assume!(k <= h + 2 * pad && k <= w + 2 * pad);
+            let g = ConvGeom::new(k, stride, pad);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let x = salted(&[n, c, h, w], &INPUT_SPECIALS, 8, &mut rng);
+            let dw = salted(&[c, k, k], &WEIGHT_SPECIALS, 16, &mut rng);
+            let shape = window_out_shape(&x, g);
+            let zeros = || Tensor::zeros(&shape);
+            let want = bits(&oracle::dwconv2d_acc(&x, &dw, g, zeros()));
+            prop_assert_eq!(bits(&dwconv2d_forward(&x, &dw, g)), want.clone());
+            prop_assert_eq!(bits(&dwconv2d_forward_scratch(&x, &dw, g, &mut stale_scratch())), want);
+            let mut want_arg = vec![0u32; shape.iter().product()];
+            let want = bits(&oracle::maxpool_into::<true>(&x, g, zeros(), &mut want_arg));
+            let (got, arg) = maxpool_forward(&x, g);
+            prop_assert_eq!(bits(&got), want.clone());
+            prop_assert_eq!(arg, want_arg);
+            prop_assert_eq!(bits(&maxpool_forward_scratch(&x, g, &mut stale_scratch())), want);
+            let want = bits(&oracle::avgpool_acc(&x, g, zeros()));
+            prop_assert_eq!(bits(&avgpool_forward(&x, g)), want.clone());
+            prop_assert_eq!(bits(&avgpool_forward_scratch(&x, g, &mut stale_scratch())), want);
+        }
+    }
+
+    /// Kernels sharing one arena reuse its tap tables across calls, a
+    /// table built for more planes serving fewer, and still equal the
+    /// oracles bit for bit; the arena keeps one table per geometry.
+    #[test]
+    fn kernels_reuse_tap_tables_across_calls() {
+        let mut rng = StdRng::seed_from_u64(35);
+        let mut scratch = stale_scratch();
+        let geoms = [(3, 1, 1), (3, 2, 1), (5, 1, 2)];
+        for (n, c) in [(3, 4), (1, 2), (5, 4), (2, 1), (40, 3), (7, 4), (1, 1)] {
+            for (k, stride, pad) in geoms {
+                let g = ConvGeom::new(k, stride, pad);
+                let x = salted(&[n, c, 6, 6], &INPUT_SPECIALS, 8, &mut rng);
+                let wt = Tensor::randn(&[3, c, k, k], 0.5, &mut rng);
+                let dw = Tensor::randn(&[c, k, k], 0.5, &mut rng);
+                let shape = window_out_shape(&x, g);
+                let zeros = || Tensor::zeros(&shape);
+                for relu in [false, true] {
+                    let want = bits(&oracle::conv2d(&x, &wt, g, relu));
+                    let got = conv2d_forward_infer(&x, &wt, g, relu, &mut scratch);
+                    assert_eq!(bits(&got), want);
+                    let (got, cols) = conv2d_forward_scratch(&x, &wt, g, relu, &mut scratch);
+                    assert_eq!(bits(&got), want);
+                    scratch.give(cols);
+                }
+                let got = dwconv2d_forward_scratch(&x, &dw, g, &mut scratch);
+                assert_eq!(bits(&got), bits(&oracle::dwconv2d_acc(&x, &dw, g, zeros())));
+                let (mut want_arg, mut got_arg) =
+                    (vec![0u32; zeros().len()], vec![0u32; zeros().len()]);
+                let want = bits(&oracle::maxpool_into::<true>(&x, g, zeros(), &mut want_arg));
+                let got = maxpool_into::<true>(&x, g, zeros(), &mut got_arg, &mut scratch);
+                assert_eq!((bits(&got), got_arg), (want.clone(), want_arg));
+                assert_eq!(bits(&maxpool_forward_scratch(&x, g, &mut scratch)), want);
+                let got = avgpool_forward_scratch(&x, g, &mut scratch);
+                assert_eq!(bits(&got), bits(&oracle::avgpool_acc(&x, g, zeros())));
+            }
+        }
+        assert!(
+            scratch.tap_tables.len() <= geoms.len(),
+            "{} tables kept",
+            scratch.tap_tables.len()
+        );
+    }
+
+    /// Batches whose runs of samples do not divide them evenly: the
+    /// batched conv still equals the per-sample oracle bit for bit.
+    #[test]
+    fn conv_infer_runs_cross_chunk_boundaries() {
+        let mut rng = StdRng::seed_from_u64(34);
+        for (n, cin, hw, k, stride) in [(38, 4, 12, 5, 1), (37, 4, 12, 3, 1), (39, 3, 12, 5, 2)] {
+            let g = ConvGeom::same(k, stride);
+            let col_len = cin * k * k * g.out_dim(hw) * g.out_dim(hw);
+            let run = COL_BLOCK / col_len;
+            assert!(run > 1 && n > run && n % run != 0, "runs of {run} over {n}");
+            let x = salted(&[n, cin, hw, hw], &INPUT_SPECIALS, 8, &mut rng);
+            let wt = Tensor::randn(&[5, cin, k, k], 0.5, &mut rng);
+            for relu in [false, true] {
+                let got = conv2d_forward_infer(&x, &wt, g, relu, &mut stale_scratch());
+                assert_eq!(bits(&got), bits(&oracle::conv2d(&x, &wt, g, relu)));
+            }
         }
     }
 

@@ -1,6 +1,6 @@
 //! A reusable buffer arena for convolution workspaces.
 //!
-//! `conv2d` lowers each sample to an im2col matrix whose size depends on
+//! `conv2d` lowers each sample to a column matrix whose size depends on
 //! the layer, so a HyperNet training step used to allocate (and free) one
 //! large buffer per conv layer per step. A [`Scratch`] arena keeps those
 //! buffers alive across steps: the tape takes buffers during the forward
@@ -10,15 +10,21 @@
 //! next step's [`Graph::with_scratch`](crate::Graph::with_scratch).
 //! Steady-state steps allocate nothing.
 
-/// A pool of reusable `Vec<f32>` workspaces.
+use crate::conv::TapTable;
+
+/// A pool of reusable `Vec<f32>` workspaces, and of the conv and window
+/// kernels' tap tables.
 ///
 /// Buffers handed out by [`Scratch::take`] have **unspecified contents**
 /// beyond their length; callers that need zeroed memory must use
-/// [`Scratch::take_zeroed`] or overwrite every element (im2col does the
-/// latter, writing explicit zeros for padding).
+/// [`Scratch::take_zeroed`] or overwrite every element (the conv
+/// lowering does the latter, writing explicit zeros for padding).
 #[derive(Debug, Clone, Default)]
 pub struct Scratch {
     free: Vec<Vec<f32>>,
+    /// The conv and window kernels' tap tables, one per geometry seen,
+    /// taken and given back like the buffers.
+    pub(crate) tap_tables: Vec<TapTable>,
 }
 
 impl Scratch {

@@ -1404,7 +1404,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// col2im is the adjoint of a one-sample lowering:
         /// `<lower(x), y> == <x, col2im(y)>` for every geometry — the

@@ -85,9 +85,6 @@ pub(crate) struct TapTable {
     /// Every other lane of the tap lands in the padding.
     valid: Vec<bool>,
     reads: TapReads,
-    /// `plane[t·lanes + o]`: the index within its plane of the input tap
-    /// `t` of lane `o` reads (`0` where invalid). Empty unless asked for.
-    plane: Vec<u32>,
 }
 
 /// How a tap's lanes find their inputs in a span of input planes.
@@ -103,35 +100,22 @@ enum TapReads {
 
 impl TapTable {
     /// A table covering at least `planes` planes of `geom` over `h × w`
-    /// input planes (with the `plane` table if `with_plane`): the one
-    /// `scratch` keeps for this geometry if it covers them, else a new one
-    /// that also covers what the kept one did. A table built for more
-    /// planes serves fewer, since its first `planes·hout·wout` lanes are
-    /// the table of `planes` planes.
-    fn take(
-        scratch: &mut Scratch,
-        planes: usize,
-        h: usize,
-        w: usize,
-        geom: ConvGeom,
-        with_plane: bool,
-    ) -> Self {
-        let (hout, wout) = (geom.out_dim(h), geom.out_dim(w));
+    /// input planes: the one `scratch` keeps for this geometry if it
+    /// covers them, else a new one that also covers what the kept one
+    /// did. A table built for more planes serves fewer, since its first
+    /// `planes·hout·wout` lanes are the table of `planes` planes.
+    fn take(scratch: &mut Scratch, planes: usize, h: usize, w: usize, geom: ConvGeom) -> Self {
+        let hw_out = geom.out_dim(h) * geom.out_dim(w);
         let kept = scratch
             .tap_tables
             .iter()
             .position(|t| (t.geom, t.h, t.w) == (geom, h, w))
             .map(|i| scratch.tap_tables.swap_remove(i));
         match kept {
-            Some(t) if t.lanes >= planes * hout * wout && (!with_plane || !t.plane.is_empty()) => t,
+            Some(t) if t.lanes >= planes * hw_out => t,
             kept => {
-                let (planes, with_plane) = kept.map_or((planes, with_plane), |t| {
-                    (
-                        planes.max(t.lanes / (hout * wout)),
-                        with_plane || !t.plane.is_empty(),
-                    )
-                });
-                TapTable::new(planes, h, w, geom, hout, wout, with_plane)
+                let planes = planes.max(kept.map_or(0, |t| t.lanes / hw_out));
+                TapTable::new(planes, h, w, geom)
             }
         }
     }
@@ -141,28 +125,18 @@ impl TapTable {
         scratch.tap_tables.push(self);
     }
 
-    fn new(
-        planes: usize,
-        h: usize,
-        w: usize,
-        geom: ConvGeom,
-        hout: usize,
-        wout: usize,
-        with_plane: bool,
-    ) -> Self {
+    fn new(planes: usize, h: usize, w: usize, geom: ConvGeom) -> Self {
         let (k, s, pad) = (geom.k, geom.stride, geom.pad);
+        let (hout, wout) = (geom.out_dim(h), geom.out_dim(w));
         let (taps, hw_in, hw_out) = (k * k, h * w, hout * wout);
         let lanes = planes * hw_out;
         let shifted = s == 1 && hout == h && wout == w;
-        let table = |on: bool| {
-            if on {
-                vec![0u32; taps * lanes]
-            } else {
-                Vec::new()
-            }
-        };
         let mut valid = vec![false; taps * lanes];
-        let (mut index, mut plane) = (table(!shifted), table(with_plane));
+        let mut index = if shifted {
+            Vec::new()
+        } else {
+            vec![0u32; taps * lanes]
+        };
         let mut shifts = Vec::new();
         for t in 0..taps {
             let (ky, kx) = (t / k, t % k);
@@ -173,13 +147,9 @@ impl TapTable {
                     let iy = oy * s + ky - pad;
                     for ox in xlo..xhi {
                         let o = t * lanes + pl * hw_out + oy * wout + ox;
-                        let p = iy * w + ox * s + kx - pad;
                         valid[o] = true;
                         if !shifted {
-                            index[o] = (pl * hw_in + p) as u32;
-                        }
-                        if with_plane {
-                            plane[o] = p as u32;
+                            index[o] = (pl * hw_in + iy * w + ox * s + kx - pad) as u32;
                         }
                     }
                 }
@@ -202,12 +172,11 @@ impl TapTable {
             lanes,
             valid,
             reads,
-            plane,
         }
     }
 
     /// Length of the buffer [`for_each_tap`](Self::for_each_tap) gathers
-    /// a tap's inputs into.
+    /// a tap's inputs into: none for a shifted table.
     fn gather_len(&self) -> usize {
         match self.reads {
             TapReads::Shifted(_) => 0,
@@ -256,6 +225,14 @@ impl TapTable {
                 }
             }
         }
+    }
+
+    /// The index within its input plane that tap `t` of output
+    /// `(oy, ox)` reads, for a tap that reads inside the plane.
+    fn plane_read(&self, t: usize, oy: usize, ox: usize) -> u32 {
+        let (k, s, pad) = (self.geom.k, self.geom.stride, self.geom.pad);
+        let (iy, ix) = (oy * s + t / k - pad, ox * s + t % k - pad);
+        (iy * self.w + ix) as u32
     }
 }
 
@@ -523,7 +500,7 @@ impl ConvDims {
 
     /// The tap table of a run of up to `planes` samples, from `scratch`.
     fn tap_table(&self, planes: usize, scratch: &mut Scratch) -> TapTable {
-        TapTable::take(scratch, planes, self.h, self.w, self.geom, false)
+        TapTable::take(scratch, planes, self.h, self.w, self.geom)
     }
 
     /// GEMM depth, `cin·k·k`.
@@ -635,12 +612,19 @@ fn zeroed_from(scratch: &mut Scratch, shape: [usize; 4]) -> Tensor {
 }
 
 /// Forward depthwise convolution: `x` `[n, c, h, w]`, `weight` `[c, k, k]`.
-pub fn dwconv2d_forward(x: &Tensor, weight: &Tensor, geom: ConvGeom) -> Tensor {
+/// Its tap table and per-lane weights come from `scratch` and go back to
+/// it; the output is allocated, since the tape keeps it.
+pub fn dwconv2d_forward(
+    x: &Tensor,
+    weight: &Tensor,
+    geom: ConvGeom,
+    scratch: &mut Scratch,
+) -> Tensor {
     let out = Tensor::zeros(&window_out_shape(x, geom));
-    dwconv2d_acc(x, weight, geom, out, &mut Scratch::new())
+    dwconv2d_acc(x, weight, geom, out, scratch)
 }
 
-/// [`dwconv2d_forward`] with its output drawn from `scratch`.
+/// [`dwconv2d_forward`] with its output drawn from `scratch` too.
 pub fn dwconv2d_forward_scratch(
     x: &Tensor,
     weight: &Tensor,
@@ -665,7 +649,7 @@ fn dwconv2d_acc(
     let ws = weight.shape();
     assert_eq!(ws, &[c, geom.k, geom.k], "dwconv weight shape");
     let (hout, wout) = (out.shape()[2], out.shape()[3]);
-    let taps = TapTable::take(scratch, c, h, w, geom, false);
+    let taps = TapTable::take(scratch, c, h, w, geom);
     let (kk, span, hw_out, in_len) = (taps.taps, c * hout * wout, hout * wout, c * h * w);
     // Each lane's weight for each tap: channel `ch`'s tap weight across
     // its plane.
@@ -755,17 +739,12 @@ pub fn dwconv2d_backward(
 }
 
 /// Forward max pooling; returns the output and the argmax index (into the
-/// flattened input plane) for each output element, used by backward.
-pub fn maxpool_forward(x: &Tensor, geom: ConvGeom) -> (Tensor, Vec<u32>) {
+/// flattened input plane) for each output element, used by backward. Its
+/// tap table comes from `scratch` and goes back to it.
+pub fn maxpool_forward(x: &Tensor, geom: ConvGeom, scratch: &mut Scratch) -> (Tensor, Vec<u32>) {
     let shape = window_out_shape(x, geom);
     let mut arg = vec![0u32; shape.iter().product()];
-    let out = maxpool_into::<true>(
-        x,
-        geom,
-        Tensor::zeros(&shape),
-        &mut arg,
-        &mut Scratch::new(),
-    );
+    let out = maxpool_into::<true>(x, geom, Tensor::zeros(&shape), &mut arg, scratch);
     (out, arg)
 }
 
@@ -777,9 +756,9 @@ pub fn maxpool_forward_scratch(x: &Tensor, geom: ConvGeom, scratch: &mut Scratch
     maxpool_into::<false>(x, geom, out, &mut [], scratch)
 }
 
-/// Writes every window's maximum into `out` (whose contents are
-/// overwritten) and, with `ARG`, its argmax into `arg` (whose entries
-/// are kept where no tap is greater than `-inf`).
+/// Writes every window's maximum into `out` and, with `ARG`, its argmax
+/// into `arg` (`0` where no tap is greater than `-inf`); the prior
+/// contents of both are overwritten.
 fn maxpool_into<const ARG: bool>(
     x: &Tensor,
     geom: ConvGeom,
@@ -790,12 +769,15 @@ fn maxpool_into<const ARG: bool>(
     let (n, c, h, w) = shape4(x);
     let (hout, wout) = (out.shape()[2], out.shape()[3]);
     out.data_mut().fill(f32::NEG_INFINITY);
-    let taps = TapTable::take(scratch, c, h, w, geom, ARG);
-    let (span, in_len) = (c * hout * wout, c * h * w);
+    let taps = TapTable::take(scratch, c, h, w, geom);
+    let (hw_out, span, in_len) = (hout * wout, c * hout * wout, c * h * w);
     let mut gathered = scratch.take(taps.gather_len());
     // Running max, tap by tap in (ky, kx) order: only a *strictly*
     // greater value replaces the running best, so ties resolve to the
-    // first tap, and the branch-free select compiles to blends.
+    // first tap, and the branch-free select compiles to blends. The
+    // argmax is tracked as the winning tap and turned into an index
+    // within the input plane once the taps are done.
+    const NO_TAP: u32 = u32::MAX;
     for i in 0..n {
         let xs = &x.data()[i * in_len..(i + 1) * in_len];
         let os = &mut out.data_mut()[i * span..(i + 1) * span];
@@ -804,13 +786,13 @@ fn maxpool_into<const ARG: bool>(
         } else {
             &mut []
         };
+        args.fill(NO_TAP);
         taps.for_each_tap(xs, c, &mut gathered, |t, lanes, xv, valid| {
             if ARG {
-                let src = &taps.plane[t * taps.lanes..t * taps.lanes + span][lanes.clone()];
                 let lanes = os[lanes.clone()].iter_mut().zip(&mut args[lanes]);
-                for ((((o, a), &v), &m), &p) in lanes.zip(xv).zip(valid).zip(src) {
+                for (((o, a), &v), &m) in lanes.zip(xv).zip(valid) {
                     let better = m && v > *o;
-                    *a = if better { p } else { *a };
+                    *a = if better { t as u32 } else { *a };
                     *o = if better { v } else { *o };
                 }
             } else {
@@ -819,6 +801,14 @@ fn maxpool_into<const ARG: bool>(
                 }
             }
         });
+        for plane in args.chunks_exact_mut(hw_out) {
+            for (o, a) in plane.iter_mut().enumerate() {
+                *a = match *a {
+                    NO_TAP => 0,
+                    t => taps.plane_read(t as usize, o / wout, o % wout),
+                };
+            }
+        }
     }
     scratch.give(gathered);
     taps.give(scratch);
@@ -844,13 +834,14 @@ pub fn maxpool_backward(x_shape: &[usize], geom: ConvGeom, arg: &[u32], dout: &T
 }
 
 /// Forward average pooling (padding excluded from the divisor, matching
-/// `count_include_pad=False`).
-pub fn avgpool_forward(x: &Tensor, geom: ConvGeom) -> Tensor {
+/// `count_include_pad=False`). Its tap table comes from `scratch` and goes
+/// back to it; the output is allocated, since the tape keeps it.
+pub fn avgpool_forward(x: &Tensor, geom: ConvGeom, scratch: &mut Scratch) -> Tensor {
     let out = Tensor::zeros(&window_out_shape(x, geom));
-    avgpool_acc(x, geom, out, &mut Scratch::new())
+    avgpool_acc(x, geom, out, scratch)
 }
 
-/// [`avgpool_forward`] with its output drawn from `scratch`.
+/// [`avgpool_forward`] with its output drawn from `scratch` too.
 pub fn avgpool_forward_scratch(x: &Tensor, geom: ConvGeom, scratch: &mut Scratch) -> Tensor {
     let out = zeroed_from(scratch, window_out_shape(x, geom));
     avgpool_acc(x, geom, out, scratch)
@@ -881,7 +872,7 @@ fn avgpool_acc(x: &Tensor, geom: ConvGeom, mut out: Tensor, scratch: &mut Scratc
             inv_cnt[oy * wout + ox] = 1.0 / (cnt_y[oy] * cnt_x[ox]).max(1) as f32;
         }
     }
-    let taps = TapTable::take(scratch, c, h, w, geom, false);
+    let taps = TapTable::take(scratch, c, h, w, geom);
     let (span, in_len) = (c * hout * wout, c * h * w);
     let mut gathered = scratch.take(taps.gather_len());
     // Tap-by-tap sums over a sample's lanes, then one scale pass by the
@@ -996,14 +987,14 @@ mod tests {
         scratch
     }
 
-    /// A tensor's bit patterns, with every NaN read as the canonical one:
-    /// Rust leaves the sign and payload of a NaN result unspecified (an
-    /// `a + b` of two NaNs may return either), so only NaN-ness can be
-    /// pinned.
-    fn bits(t: &Tensor) -> Vec<u32> {
-        bit_patterns(t.data())
+    /// A tensor's shape and [`bit_patterns`].
+    fn bits(t: &Tensor) -> (Vec<usize>, Vec<u32>) {
+        (t.shape().to_vec(), bit_patterns(t.data()))
     }
 
+    /// Bit patterns with every NaN read as the canonical one: Rust leaves
+    /// the sign and payload of a NaN result unspecified (an `a + b` of two
+    /// NaNs may return either), so only NaN-ness can be pinned.
     fn bit_patterns(v: &[f32]) -> Vec<u32> {
         let canonical = |v: &f32| if v.is_nan() { f32::NAN } else { *v }.to_bits();
         v.iter().map(canonical).collect()
@@ -1023,7 +1014,7 @@ mod tests {
         relu: bool,
     ) -> Vec<f32> {
         let (hout, wout) = (geom.out_dim(h), geom.out_dim(w));
-        let table = TapTable::new(table_planes, h, w, geom, hout, wout, false);
+        let table = TapTable::new(table_planes, h, w, geom);
         let hw = h * w;
         let mut xt = vec![f32::NAN; x.len()];
         for s in 0..g {
@@ -1494,15 +1485,15 @@ mod tests {
             prop_assert_eq!(bits(&conv2d_forward_infer(&x, &wt, g, relu, &mut scratch)), bits(&conv));
             prop_assert_eq!(
                 bits(&dwconv2d_forward_scratch(&x, &dw, g, &mut scratch)),
-                bits(&dwconv2d_forward(&x, &dw, g))
+                bits(&dwconv2d_forward(&x, &dw, g, &mut Scratch::new()))
             );
             prop_assert_eq!(
                 bits(&maxpool_forward_scratch(&x, g, &mut scratch)),
-                bits(&maxpool_forward(&x, g).0)
+                bits(&maxpool_forward(&x, g, &mut Scratch::new()).0)
             );
             prop_assert_eq!(
                 bits(&avgpool_forward_scratch(&x, g, &mut scratch)),
-                bits(&avgpool_forward(&x, g))
+                bits(&avgpool_forward(&x, g, &mut Scratch::new()))
             );
         }
 
@@ -1608,16 +1599,16 @@ mod tests {
             let shape = window_out_shape(&x, g);
             let zeros = || Tensor::zeros(&shape);
             let want = bits(&oracle::dwconv2d_acc(&x, &dw, g, zeros()));
-            prop_assert_eq!(bits(&dwconv2d_forward(&x, &dw, g)), want.clone());
+            prop_assert_eq!(bits(&dwconv2d_forward(&x, &dw, g, &mut Scratch::new())), want.clone());
             prop_assert_eq!(bits(&dwconv2d_forward_scratch(&x, &dw, g, &mut stale_scratch())), want);
             let mut want_arg = vec![0u32; shape.iter().product()];
             let want = bits(&oracle::maxpool_into::<true>(&x, g, zeros(), &mut want_arg));
-            let (got, arg) = maxpool_forward(&x, g);
+            let (got, arg) = maxpool_forward(&x, g, &mut Scratch::new());
             prop_assert_eq!(bits(&got), want.clone());
             prop_assert_eq!(arg, want_arg);
             prop_assert_eq!(bits(&maxpool_forward_scratch(&x, g, &mut stale_scratch())), want);
             let want = bits(&oracle::avgpool_acc(&x, g, zeros()));
-            prop_assert_eq!(bits(&avgpool_forward(&x, g)), want.clone());
+            prop_assert_eq!(bits(&avgpool_forward(&x, g, &mut Scratch::new())), want.clone());
             prop_assert_eq!(bits(&avgpool_forward_scratch(&x, g, &mut stale_scratch())), want);
         }
     }
@@ -1646,16 +1637,18 @@ mod tests {
                     assert_eq!(bits(&got), want);
                     scratch.give(cols);
                 }
+                let want = bits(&oracle::dwconv2d_acc(&x, &dw, g, zeros()));
+                assert_eq!(bits(&dwconv2d_forward(&x, &dw, g, &mut scratch)), want);
                 let got = dwconv2d_forward_scratch(&x, &dw, g, &mut scratch);
-                assert_eq!(bits(&got), bits(&oracle::dwconv2d_acc(&x, &dw, g, zeros())));
-                let (mut want_arg, mut got_arg) =
-                    (vec![0u32; zeros().len()], vec![0u32; zeros().len()]);
+                assert_eq!(bits(&got), want);
+                let mut want_arg = vec![0u32; zeros().len()];
                 let want = bits(&oracle::maxpool_into::<true>(&x, g, zeros(), &mut want_arg));
-                let got = maxpool_into::<true>(&x, g, zeros(), &mut got_arg, &mut scratch);
+                let (got, got_arg) = maxpool_forward(&x, g, &mut scratch);
                 assert_eq!((bits(&got), got_arg), (want.clone(), want_arg));
                 assert_eq!(bits(&maxpool_forward_scratch(&x, g, &mut scratch)), want);
-                let got = avgpool_forward_scratch(&x, g, &mut scratch);
-                assert_eq!(bits(&got), bits(&oracle::avgpool_acc(&x, g, zeros())));
+                let want = bits(&oracle::avgpool_acc(&x, g, zeros()));
+                assert_eq!(bits(&avgpool_forward(&x, g, &mut scratch)), want);
+                assert_eq!(bits(&avgpool_forward_scratch(&x, g, &mut scratch)), want);
             }
         }
         assert!(
@@ -1731,14 +1724,14 @@ mod tests {
         let mut w = Tensor::zeros(&[2, 3, 3]);
         w.data_mut()[4] = 1.0;
         w.data_mut()[9 + 4] = 1.0;
-        let y = dwconv2d_forward(&x, &w, ConvGeom::same(3, 1));
+        let y = dwconv2d_forward(&x, &w, ConvGeom::same(3, 1), &mut Scratch::new());
         assert_eq!(y.data(), x.data());
     }
 
     #[test]
     fn maxpool_simple() {
         let x = Tensor::from_vec(&[1, 1, 2, 2], vec![1.0, 5.0, 3.0, 2.0]);
-        let (y, arg) = maxpool_forward(&x, ConvGeom::new(2, 2, 0));
+        let (y, arg) = maxpool_forward(&x, ConvGeom::new(2, 2, 0), &mut Scratch::new());
         assert_eq!(y.data(), &[5.0]);
         assert_eq!(arg, vec![1]);
         let dx = maxpool_backward(
@@ -1753,7 +1746,7 @@ mod tests {
     #[test]
     fn avgpool_excludes_padding() {
         let x = Tensor::ones(&[1, 1, 3, 3]);
-        let y = avgpool_forward(&x, ConvGeom::same(3, 1));
+        let y = avgpool_forward(&x, ConvGeom::same(3, 1), &mut Scratch::new());
         // All outputs must be exactly 1.0 because padding is excluded.
         for v in y.data() {
             assert!((v - 1.0).abs() < 1e-6);
@@ -1818,10 +1811,10 @@ mod tests {
         let x = Tensor::randn(&[1, 2, 4, 4], 1.0, &mut rng);
         let w = Tensor::randn(&[2, 3, 3], 0.5, &mut rng);
         let g = ConvGeom::same(3, 1);
-        let y = dwconv2d_forward(&x, &w, g);
+        let y = dwconv2d_forward(&x, &w, g, &mut Scratch::new());
         let dout = Tensor::ones(y.shape());
         let (dx, dw) = dwconv2d_backward(&x, &w, g, &dout);
-        let loss = |x: &Tensor, w: &Tensor| dwconv2d_forward(x, w, g).sum();
+        let loss = |x: &Tensor, w: &Tensor| dwconv2d_forward(x, w, g, &mut Scratch::new()).sum();
         let eps = 1e-2;
         for idx in [0usize, 9, x.len() - 1] {
             let mut xp = x.clone();

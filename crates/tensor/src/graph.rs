@@ -133,12 +133,13 @@ impl Graph {
         Self::with_scratch(Scratch::new())
     }
 
-    /// Creates an empty graph that draws conv workspaces from `scratch`.
+    /// Creates an empty graph that draws conv, depthwise and pooling
+    /// workspaces from `scratch`.
     ///
     /// Thread the arena from step to step —
     /// `Graph::with_scratch(prev)` … [`Graph::backward_scratch`] — and
-    /// im2col buffers are allocated once, then recycled for the rest of
-    /// training.
+    /// column buffers and tap tables are built once, then recycled for
+    /// the rest of training.
     pub fn with_scratch(scratch: Scratch) -> Self {
         Graph {
             nodes: Vec::new(),
@@ -332,19 +333,20 @@ impl Graph {
 
     /// Depthwise 2-D convolution; `x [n,c,h,w]`, `w [c,k,k]`.
     pub fn dwconv2d(&mut self, x: Var, w: Var, geom: ConvGeom) -> Var {
-        let out = dwconv2d_forward(&self.nodes[x.0].value, &self.nodes[w.0].value, geom);
+        let (x_val, w_val) = (&self.nodes[x.0].value, &self.nodes[w.0].value);
+        let out = dwconv2d_forward(x_val, w_val, geom, &mut self.scratch);
         self.push(out, OpRecord::DwConv2d { x, w, geom })
     }
 
     /// Max pooling.
     pub fn maxpool(&mut self, x: Var, geom: ConvGeom) -> Var {
-        let (out, arg) = maxpool_forward(&self.nodes[x.0].value, geom);
+        let (out, arg) = maxpool_forward(&self.nodes[x.0].value, geom, &mut self.scratch);
         self.push(out, OpRecord::MaxPool { x, geom, arg })
     }
 
     /// Average pooling (padding excluded from divisor).
     pub fn avgpool(&mut self, x: Var, geom: ConvGeom) -> Var {
-        let out = avgpool_forward(&self.nodes[x.0].value, geom);
+        let out = avgpool_forward(&self.nodes[x.0].value, geom, &mut self.scratch);
         self.push(out, OpRecord::AvgPool { x, geom })
     }
 

@@ -34,8 +34,12 @@ impl Scratch {
     }
 
     /// Takes a buffer of length `len` with unspecified contents,
-    /// preferring the pooled buffer whose capacity fits most tightly.
+    /// preferring the pooled buffer whose capacity fits most tightly. An
+    /// empty buffer leaves the pool alone.
     pub fn take(&mut self, len: usize) -> Vec<f32> {
+        if len == 0 {
+            return Vec::new();
+        }
         let mut best: Option<usize> = None;
         for (i, buf) in self.free.iter().enumerate() {
             if buf.capacity() >= len {
@@ -114,6 +118,14 @@ mod tests {
         s.give(Vec::with_capacity(64));
         let b = s.take(60);
         assert!(b.capacity() < 1000, "took the oversized buffer");
+        assert_eq!(s.pooled(), 1);
+    }
+
+    #[test]
+    fn empty_take_leaves_pool_alone() {
+        let mut s = Scratch::new();
+        s.give(Vec::with_capacity(64));
+        assert_eq!(s.take(0).capacity(), 0);
         assert_eq!(s.pooled(), 1);
     }
 

@@ -11,7 +11,7 @@ use std::hint::black_box;
 use yoso_arch::{Genotype, NetworkSkeleton};
 use yoso_dataset::{SynthCifar, SynthCifarConfig};
 use yoso_hypernet::{HyperNet, HyperTrainConfig};
-use yoso_nn::{infer_network, CellNetwork, ScoringPrecision, TrainConfig};
+use yoso_nn::{infer_network, CellNetwork, TrainConfig};
 
 fn bench_hypernet(c: &mut Criterion) {
     let skeleton = NetworkSkeleton::tiny();
@@ -32,7 +32,7 @@ fn bench_hypernet(c: &mut Criterion) {
         b.iter(|| {
             let g = &genotypes[i % 8];
             i += 1;
-            black_box(hyper.evaluate_genotype(g, &data.val, 64, ScoringPrecision::F32))
+            black_box(hyper.evaluate_genotype(g, &data.val, 64))
         })
     });
 
@@ -57,13 +57,7 @@ fn bench_hypernet(c: &mut Criterion) {
             let plan = &plans[i % 8];
             i += 1;
             let provider = small_hyper.provider(plan);
-            black_box(infer_network(
-                plan,
-                small_hyper.store(),
-                &provider,
-                &images,
-                ScoringPrecision::F32,
-            ))
+            black_box(infer_network(plan, small_hyper.store(), &provider, &images))
         })
     });
 

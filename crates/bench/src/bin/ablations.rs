@@ -32,7 +32,7 @@ use yoso_core::search::SearchConfig;
 use yoso_core::session::{SearchSession, Strategy};
 use yoso_dataset::{SynthCifar, SynthCifarConfig};
 use yoso_hypernet::{HyperNet, HyperTrainConfig};
-use yoso_nn::{CellNetwork, ScoringPrecision, TrainConfig};
+use yoso_nn::{CellNetwork, TrainConfig};
 use yoso_predictor::metrics::{mape, spearman};
 use yoso_predictor::perf::{collect_samples, PerfPredictor};
 
@@ -126,7 +126,7 @@ fn ablation_sampling() {
         hyper.train(&data, &cfg);
         let inherited: Vec<f64> = probes
             .iter()
-            .map(|g| hyper.evaluate_genotype(g, &data.val, 64, ScoringPrecision::F32))
+            .map(|g| hyper.evaluate_genotype(g, &data.val, 64))
             .collect();
         println!(
             "  {label:>20}: spearman(inherited, fully-trained) = {:.3}",

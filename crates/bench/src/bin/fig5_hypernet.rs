@@ -22,7 +22,7 @@ use yoso_bench::{run_main, write_csv, Args, Table};
 use yoso_core::error::Error;
 use yoso_dataset::{SynthCifar, SynthCifarConfig};
 use yoso_hypernet::{HyperNet, HyperTrainConfig};
-use yoso_nn::{CellNetwork, ScoringPrecision, TrainConfig};
+use yoso_nn::{CellNetwork, TrainConfig};
 use yoso_predictor::metrics::{kendall_tau, pearson, spearman};
 
 fn scale(args: &Args) -> (NetworkSkeleton, SynthCifarConfig) {
@@ -112,8 +112,7 @@ fn real_main() -> Result<(), Error> {
         let mut rows = Vec::new();
         for i in 0..n_models {
             let genotype = Genotype::random(&mut rng);
-            let acc_inherit =
-                hyper.evaluate_genotype(&genotype, &data.val, 64, ScoringPrecision::F32);
+            let acc_inherit = hyper.evaluate_genotype(&genotype, &data.val, 64);
             let plan = skeleton.compile(&genotype);
             let mut net = CellNetwork::new(plan, seed + i as u64);
             let train_cfg = TrainConfig {

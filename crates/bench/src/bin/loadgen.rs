@@ -153,7 +153,6 @@ fn real_main() -> Result<(), Error> {
         .unwrap_or_else(|| "BENCH_server.json".into());
     args.configure_threads();
     args.configure_chaos();
-    let _ = args.scoring()?; // validate the shared flag surface early
 
     let skeleton = yoso_arch::NetworkSkeleton::tiny();
     let reward = RewardConfig::balanced(calibrate_constraints(&skeleton, 50, 0, 50.0));

@@ -17,13 +17,7 @@
 //! divergence, so CI can gate on it.
 //!
 //! Usage: `cargo run --release -p yoso-bench --bin resume_smoke --
-//!   [--iterations 30] [--kill-at 15] [--seed 0] [--scoring f32|int8]
-//!   [--chaos-plan <path>]`
-//!
-//! With `--scoring int8` the drill swaps the deterministic surrogate for
-//! a real [`FastEvaluator`] (briefly trained HyperNet on tiny synthetic
-//! data) scoring candidates on the quantized int8 path, proving that
-//! byte-identical resume holds for integer-GEMM accuracy numbers too.
+//!   [--iterations 30] [--kill-at 15] [--seed 0] [--chaos-plan <path>]`
 //!
 //! With `--chaos-plan` the whole drill runs under an armed fault plan.
 //! Only *transient* faults (worker panics, slow evaluations) keep the
@@ -36,14 +30,10 @@ use std::path::PathBuf;
 use yoso_bench::{run_main, Args};
 use yoso_core::checkpoint::checkpoint_file_name;
 use yoso_core::error::Error;
-use yoso_core::evaluation::{
-    calibrate_constraints, Evaluator, FastEvaluator, ScoringPrecision, SurrogateEvaluator,
-};
+use yoso_core::evaluation::{calibrate_constraints, SurrogateEvaluator};
 use yoso_core::reward::RewardConfig;
 use yoso_core::search::SearchConfig;
 use yoso_core::session::{SearchSession, Strategy};
-use yoso_dataset::{SynthCifar, SynthCifarConfig};
-use yoso_hypernet::HyperTrainConfig;
 use yoso_trace::Trace;
 
 fn search_iter_lines(trace: &Trace) -> Vec<String> {
@@ -63,28 +53,9 @@ fn real_main() -> Result<(), Error> {
     let iterations = args.usize("--iterations", 30);
     let kill_at = args.usize("--kill-at", 15);
     let seed = args.u64("--seed", 0);
-    let scoring = args.scoring()?;
     args.configure_chaos();
     let skeleton = yoso_arch::NetworkSkeleton::tiny();
-    // f32 drills score with the cheap deterministic surrogate; the int8
-    // drill needs a real HyperNet so the quantized conv path is what
-    // actually produces the replayed accuracy numbers.
-    let (surrogate, fast);
-    let evaluator: &dyn Evaluator = if scoring == ScoringPrecision::Int8 {
-        let data = SynthCifar::generate(&SynthCifarConfig::tiny());
-        let hyper_cfg = HyperTrainConfig {
-            epochs: 1,
-            batch_size: 32,
-            augment: false,
-            ..Default::default()
-        };
-        fast = FastEvaluator::build(&skeleton, &data, &hyper_cfg, 60, seed)?;
-        println!("scoring: int8 (FastEvaluator, quantized conv path)");
-        &fast
-    } else {
-        surrogate = SurrogateEvaluator::new(skeleton.clone());
-        &surrogate
-    };
+    let evaluator = SurrogateEvaluator::new(skeleton.clone());
     let reward = RewardConfig::balanced(calibrate_constraints(&skeleton, 50, seed, 50.0));
     let cfg = SearchConfig {
         iterations,
@@ -103,11 +74,10 @@ fn real_main() -> Result<(), Error> {
 
         let full_trace = Trace::memory();
         let full = SearchSession::builder()
-            .evaluator(evaluator)
+            .evaluator(&evaluator)
             .reward(reward)
             .config(cfg.clone())
             .strategy(Strategy::Rl)
-            .scoring_precision(scoring)
             .checkpoint_every(kill_at)
             .checkpoint_dir(&dir)
             .trace(full_trace.clone())
@@ -129,7 +99,7 @@ fn real_main() -> Result<(), Error> {
         }
         let resumed_trace = Trace::memory();
         let resumed = SearchSession::resume_from(&ckpt)?
-            .evaluator(evaluator)
+            .evaluator(&evaluator)
             .trace(resumed_trace.clone())
             .run()?;
         println!(

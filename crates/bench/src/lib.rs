@@ -93,11 +93,10 @@ pub fn bench_meta_json(indent: usize) -> String {
         "release"
     };
     format!(
-        "\"meta\": {{\n{inner}\"cores\": {cores},\n{inner}\"matmul_threads\": {},\n{inner}\"pool_threads\": {},\n{inner}\"simd_tier\": \"{}\",\n{inner}\"quant_tier\": \"{}\",\n{inner}\"profile\": \"{profile}\"\n{pad}}}",
+        "\"meta\": {{\n{inner}\"cores\": {cores},\n{inner}\"matmul_threads\": {},\n{inner}\"pool_threads\": {},\n{inner}\"simd_tier\": \"{}\",\n{inner}\"profile\": \"{profile}\"\n{pad}}}",
         yoso_tensor::matmul_threads(),
         yoso_pool::num_threads(),
         yoso_tensor::simd_tier(),
-        yoso_tensor::quant_tier(),
     )
 }
 
@@ -120,9 +119,9 @@ pub fn run_main(body: impl FnOnce() -> Result<(), yoso_core::Error>) {
 /// The flag surface shared by every bench binary, parsed once.
 ///
 /// Centralizes the flags each driver used to scan for by hand —
-/// `--threads`, `--matmul-threads`, `--trace-out`, `--chaos-plan`,
-/// `--scoring` — plus typed accessors for bin-specific flags, so a new
-/// binary gets the whole shared surface from two lines:
+/// `--threads`, `--matmul-threads`, `--trace-out`, `--chaos-plan` — plus
+/// typed accessors for bin-specific flags, so a new binary gets the
+/// whole shared surface from two lines:
 ///
 /// ```no_run
 /// let args = yoso_bench::Args::parse();
@@ -176,23 +175,6 @@ impl Args {
     /// Presence of a boolean `--flag`.
     pub fn present(&self, flag: &str) -> bool {
         self.argv.iter().any(|a| a == flag)
-    }
-
-    /// The shared `--scoring f32|int8` flag as a typed precision
-    /// (absent means f32).
-    ///
-    /// # Errors
-    ///
-    /// [`yoso_core::Error::InvalidConfig`] on any other value.
-    pub fn scoring(&self) -> Result<yoso_core::ScoringPrecision, yoso_core::Error> {
-        match self.value("--scoring") {
-            None => Ok(yoso_core::ScoringPrecision::F32),
-            Some(name) => yoso_core::ScoringPrecision::from_name(&name).ok_or_else(|| {
-                yoso_core::Error::InvalidConfig(format!(
-                    "--scoring must be f32 or int8, got {name:?}"
-                ))
-            }),
-        }
     }
 
     /// The shared `--surrogate exact|sparse` flag as a typed
@@ -605,8 +587,6 @@ mod tests {
                 "--noise",
                 "0.5",
                 "--paper",
-                "--scoring",
-                "int8",
                 "--part",
                 "both",
             ]
@@ -622,11 +602,10 @@ mod tests {
         assert_eq!(args.value("--part").as_deref(), Some("both"));
         assert_eq!(args.value("--missing"), None);
         assert_eq!(args.usize("--missing", 9), 9);
-        assert_eq!(args.scoring().unwrap(), yoso_core::ScoringPrecision::Int8);
     }
 
     #[test]
-    fn args_surrogate_parses_and_rejects_like_scoring() {
+    fn args_surrogate_parses_and_rejects_unknown_backends() {
         let sparse = Args::from_argv(
             ["bin", "--surrogate", "sparse"]
                 .iter()
@@ -678,19 +657,6 @@ mod tests {
             Some(std::path::PathBuf::from("/tmp/front.csv"))
         );
         assert_eq!(Args::from_argv(vec!["bin".to_string()]).pareto_out(), None);
-    }
-
-    #[test]
-    fn args_scoring_rejects_unknown_precision() {
-        let args = Args::from_argv(
-            ["bin", "--scoring", "fp16"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-        );
-        assert!(args.scoring().is_err());
-        let default = Args::from_argv(vec!["bin".to_string()]);
-        assert_eq!(default.scoring().unwrap(), yoso_core::ScoringPrecision::F32);
     }
 
     #[test]

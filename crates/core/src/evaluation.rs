@@ -7,15 +7,55 @@ use crate::error::Error;
 use crate::reward::Constraints;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use yoso_accel::Simulator;
 use yoso_arch::{DesignPoint, Genotype, NetworkPlan, NetworkSkeleton};
 use yoso_dataset::SynthCifar;
 use yoso_hypernet::{HyperNet, HyperTrainConfig};
-pub use yoso_nn::ScoringPrecision;
 use yoso_nn::{CellNetwork, TrainConfig};
 pub use yoso_predictor::perf::SurrogateKind;
 use yoso_predictor::perf::{collect_samples, PerfPredictor};
+
+/// Numeric precision an evaluator scores accuracy at.
+///
+/// Every evaluator here scores at [`F32`](ScoringPrecision::F32), so a
+/// request for [`Int8`](ScoringPrecision::Int8) is refused: an
+/// `InvalidConfig` error at session build, `invalid_spec` at daemon
+/// submit. `Int8` stays a name so that wire frames and job specs that
+/// carry it decode and are refused, not misread.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum ScoringPrecision {
+    /// Full-precision f32 forward (default).
+    #[default]
+    F32,
+    /// Int8 scoring; no evaluator implements it.
+    Int8,
+}
+
+impl ScoringPrecision {
+    /// Stable lowercase name used in trace events, wire frames and flags.
+    pub fn name(&self) -> &'static str {
+        match self {
+            ScoringPrecision::F32 => "f32",
+            ScoringPrecision::Int8 => "int8",
+        }
+    }
+
+    /// Parses a [`ScoringPrecision::name`] back into a precision.
+    pub fn from_name(s: &str) -> Option<ScoringPrecision> {
+        match s {
+            "f32" => Some(ScoringPrecision::F32),
+            "int8" => Some(ScoringPrecision::Int8),
+            _ => None,
+        }
+    }
+}
+
+impl std::fmt::Display for ScoringPrecision {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
 
 /// The three metrics the reward combines.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,19 +93,16 @@ pub trait Evaluator: Send + Sync {
         points.iter().map(|p| self.evaluate(p)).collect()
     }
 
-    /// Short name for logs. Implementations that support several
-    /// scoring precisions must fold the active one into the name so
-    /// checkpoint resume detects a precision switch as an evaluator
-    /// mismatch (scores are not comparable across precisions).
+    /// Short name for logs; checkpoint resume compares it to detect an
+    /// evaluator mismatch.
     fn name(&self) -> &'static str;
 
     /// Requests a scoring precision for subsequent accuracy queries.
     ///
-    /// Default: ignored — evaluators that only implement f32 scoring keep
-    /// using it, and a session built with another precision
+    /// Default: ignored — every evaluator here scores at f32 only, so a
+    /// session built with another precision
     /// ([`SearchSessionBuilder::scoring_precision`]) is rejected because
     /// [`scoring_precision`](Self::scoring_precision) does not change.
-    /// [`FastEvaluator`] honours [`ScoringPrecision::Int8`].
     ///
     /// [`SearchSessionBuilder::scoring_precision`]: crate::session::SearchSessionBuilder::scoring_precision
     fn set_scoring_precision(&self, _precision: ScoringPrecision) {}
@@ -177,13 +214,7 @@ pub struct FastEvaluator {
     pub eval_subset: usize,
     /// Evaluation batch size.
     pub eval_batch: usize,
-    /// Accuracies keyed by precision too: the two precisions give
-    /// different numbers, and toggling precision mid-run must not serve
-    /// entries of the other.
-    acc_cache: RwLock<HashMap<(Genotype, ScoringPrecision), f64>>,
-    /// Active [`ScoringPrecision`] as its discriminant (0 = f32,
-    /// 1 = int8); atomic so `&self` scoring calls can read it.
-    precision: AtomicU8,
+    acc_cache: RwLock<HashMap<Genotype, f64>>,
     stats_cache: RwLock<HashMap<Genotype, StatsEntry>>,
     /// Graceful-degradation substrate: when a GP prediction comes back
     /// non-finite, the query falls back to this memoized fast simulator.
@@ -201,7 +232,6 @@ impl FastEvaluator {
             eval_subset: 256,
             eval_batch: 128,
             acc_cache: RwLock::new(HashMap::new()),
-            precision: AtomicU8::new(0),
             stats_cache: RwLock::new(HashMap::new()),
             fallback_sim: Simulator::fast(),
             degraded: AtomicU64::new(0),
@@ -268,23 +298,21 @@ impl FastEvaluator {
         &self.predictor
     }
 
-    fn cached_accuracy(&self, genotype: &Genotype, precision: ScoringPrecision) -> Option<f64> {
-        self.acc_cache.read().get(&(*genotype, precision)).copied()
+    fn cached_accuracy(&self, genotype: &Genotype) -> Option<f64> {
+        self.acc_cache.read().get(genotype).copied()
     }
 
     /// Per-point accuracy query: the cached value, or the fold of every
     /// validation batch's [`score_batch`](Self::score_batch), scored
     /// serially on the calling thread.
     fn accuracy_of(&self, genotype: &Genotype) -> f64 {
-        let precision = self.scoring_precision();
-        if let Some(a) = self.cached_accuracy(genotype, precision) {
+        if let Some(a) = self.cached_accuracy(genotype) {
             count_accuracy_query(true);
             return a;
         }
         count_accuracy_query(false);
-        let acc =
-            fold_batches((0..self.val_batches()).map(|b| self.score_batch(genotype, precision, b)));
-        self.acc_cache.write().insert((*genotype, precision), acc);
+        let acc = fold_batches((0..self.val_batches()).map(|b| self.score_batch(genotype, b)));
+        self.acc_cache.write().insert(*genotype, acc);
         acc
     }
 
@@ -301,27 +329,17 @@ impl FastEvaluator {
 
     /// Scores `genotype` on validation batch `b` of the subset with its
     /// inherited weights, on the tape-free
-    /// [`infer_network`](yoso_nn::infer_network) walk at `precision`.
-    /// Both precisions score exactly the same examples. Traced runs time
-    /// each walk into the `eval.accuracy.f32` or `eval.accuracy.int8`
-    /// span.
-    fn score_batch(
-        &self,
-        genotype: &Genotype,
-        precision: ScoringPrecision,
-        b: usize,
-    ) -> BatchScore {
+    /// [`infer_network`](yoso_nn::infer_network) walk. Traced runs time
+    /// each walk into the `eval.accuracy.f32` span.
+    fn score_batch(&self, genotype: &Genotype, b: usize) -> BatchScore {
         let bs = self.eval_batch.max(1);
         let idx: Vec<usize> = (b * bs..((b + 1) * bs).min(self.subset_len())).collect();
         let (images, labels) = self.data.val.batch(&idx);
         let plan = self.hyper.skeleton().compile(genotype);
         let provider = self.hyper.provider(&plan);
         let store = self.hyper.store();
-        let _span = yoso_trace::span(match precision {
-            ScoringPrecision::F32 => "eval.accuracy.f32",
-            ScoringPrecision::Int8 => "eval.accuracy.int8",
-        });
-        let logits = yoso_nn::infer_network(&plan, store, &provider, &images, precision);
+        let _span = yoso_trace::span("eval.accuracy.f32");
+        let logits = yoso_nn::infer_network(&plan, store, &provider, &images);
         (yoso_tensor::accuracy(&logits, &labels), labels.len())
     }
 
@@ -390,13 +408,12 @@ impl Evaluator for FastEvaluator {
     /// via [`PerfPredictor::predict_batch_from_features`]. Bit-identical
     /// to per-point `evaluate` at any thread count.
     fn evaluate_batch(&self, points: &[DesignPoint]) -> Result<Vec<Evaluation>, Error> {
-        let precision = self.scoring_precision();
         let nb = self.val_batches();
         let items = yoso_pool::parallel_map(points.len() * nb, 0, |k| {
             let genotype = &points[k / nb].genotype;
-            match self.cached_accuracy(genotype, precision) {
+            match self.cached_accuracy(genotype) {
                 Some(acc) => BatchItem::Cached(acc),
-                None => BatchItem::Scored(self.score_batch(genotype, precision, k % nb)),
+                None => BatchItem::Scored(self.score_batch(genotype, k % nb)),
             }
         });
         let accs: Vec<f64> = points
@@ -410,7 +427,7 @@ impl Evaluator for FastEvaluator {
                 scored => {
                     count_accuracy_query(false);
                     let acc = fold_batches(scored.iter().map(BatchItem::score));
-                    self.acc_cache.write().insert((p.genotype, precision), acc);
+                    self.acc_cache.write().insert(p.genotype, acc);
                     acc
                 }
             })
@@ -440,26 +457,8 @@ impl Evaluator for FastEvaluator {
             .collect())
     }
 
-    /// The precision is part of the name so a checkpoint written under
-    /// one precision refuses to resume under the other
-    /// ([`Error::ResumeMismatch`]): cached rewards would not be
-    /// comparable across precisions.
     fn name(&self) -> &'static str {
-        match self.scoring_precision() {
-            ScoringPrecision::F32 => "fast(hypernet+gp)",
-            ScoringPrecision::Int8 => "fast(hypernet+gp,int8)",
-        }
-    }
-
-    fn set_scoring_precision(&self, precision: ScoringPrecision) {
-        self.precision.store(precision as u8, Ordering::Relaxed);
-    }
-
-    fn scoring_precision(&self) -> ScoringPrecision {
-        match self.precision.load(Ordering::Relaxed) {
-            0 => ScoringPrecision::F32,
-            _ => ScoringPrecision::Int8,
-        }
+        "fast(hypernet+gp)"
     }
 
     fn degraded_queries(&self) -> u64 {
@@ -721,37 +720,39 @@ mod tests {
         ev.evaluate(p).unwrap().accuracy.to_bits()
     }
 
+    /// A `FastEvaluator` scores at f32 only: an int8 request changes
+    /// neither its precision, its name nor its scores, which is what
+    /// makes a session build or a daemon submit refuse the request.
     #[test]
-    fn scoring_precision_switches_name_and_path() {
+    fn int8_request_leaves_fast_evaluator_at_f32() {
         use yoso_dataset::SynthCifarConfig;
         let sk = NetworkSkeleton::tiny();
         let data = SynthCifar::generate(&SynthCifarConfig::tiny());
         let hyper = HyperNet::new(sk.clone(), 3);
         let samples = collect_samples(&sk, &Simulator::fast(), 80, 7);
         let predictor = PerfPredictor::train(&sk, &samples).unwrap();
-        let ev = FastEvaluator::from_parts(hyper, predictor, data);
-        assert_eq!(ev.scoring_precision(), ScoringPrecision::F32);
-        assert_eq!(ev.name(), "fast(hypernet+gp)");
+        let fresh = || FastEvaluator::from_parts(hyper.clone(), predictor.clone(), data.clone());
+        let ev = fresh();
 
         let mut rng = StdRng::seed_from_u64(21);
-        let p = DesignPoint::random(&mut rng);
-        let f32_eval = ev.evaluate(&p).unwrap();
+        let (p, q) = (DesignPoint::random(&mut rng), DesignPoint::random(&mut rng));
+        let before = ev.evaluate(&p).unwrap();
 
         ev.set_scoring_precision(ScoringPrecision::Int8);
-        assert_eq!(ev.scoring_precision(), ScoringPrecision::Int8);
-        assert_eq!(ev.name(), "fast(hypernet+gp,int8)");
-        let int8_eval = ev.evaluate(&p).unwrap();
-        assert!((0.0..=1.0).contains(&int8_eval.accuracy));
-        // Perf metrics come from the GP either way; only accuracy may move.
-        assert_eq!(int8_eval.latency_ms, f32_eval.latency_ms);
-        assert_eq!(int8_eval.energy_mj, f32_eval.energy_mj);
-        // Int8 results are cached independently and deterministically.
-        assert_eq!(ev.evaluate(&p).unwrap(), int8_eval);
+        assert_eq!(ev.scoring_precision(), ScoringPrecision::F32);
+        assert_eq!(ev.name(), "fast(hypernet+gp)");
+        // Cached and freshly scored points alike keep their f32 scores.
+        assert_eq!(ev.evaluate(&p).unwrap(), before);
+        assert_eq!(ev.evaluate(&q).unwrap(), fresh().evaluate(&q).unwrap());
+    }
 
-        // Switching back must serve the original f32 number (per-precision
-        // caches, no cross-contamination).
-        ev.set_scoring_precision(ScoringPrecision::F32);
-        assert_eq!(ev.evaluate(&p).unwrap(), f32_eval);
+    #[test]
+    fn precision_names_round_trip() {
+        for p in [ScoringPrecision::F32, ScoringPrecision::Int8] {
+            assert_eq!(ScoringPrecision::from_name(p.name()), Some(p));
+            assert_eq!(p.to_string(), p.name());
+        }
+        assert_eq!(ScoringPrecision::from_name("fp16"), None);
     }
 
     #[test]

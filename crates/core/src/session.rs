@@ -310,13 +310,10 @@ impl<'a> SearchSessionBuilder<'a> {
 
     /// Requests a scoring precision from the evaluator at
     /// [`build`](Self::build) time (via
-    /// [`Evaluator::set_scoring_precision`]). With
-    /// [`ScoringPrecision::Int8`] and a [`FastEvaluator`] the HyperNet
-    /// accuracy pass runs on the quantized int8 path; an evaluator that
-    /// cannot score at the requested precision makes `build` fail. The
-    /// default leaves the evaluator's current precision untouched.
-    ///
-    /// [`FastEvaluator`]: crate::evaluation::FastEvaluator
+    /// [`Evaluator::set_scoring_precision`]); an evaluator that cannot
+    /// score at the requested precision makes `build` fail, which every
+    /// evaluator does for [`ScoringPrecision::Int8`]. The default leaves
+    /// the evaluator's precision untouched.
     #[must_use]
     pub fn scoring_precision(mut self, precision: ScoringPrecision) -> Self {
         self.scoring = Some(precision);
@@ -373,9 +370,6 @@ impl<'a> SearchSessionBuilder<'a> {
         let reward = self
             .reward
             .ok_or_else(|| Error::InvalidConfig("SearchSession requires .reward(..)".into()))?;
-        // Applied before the resume-mismatch check in `run` reads the
-        // evaluator name, so a checkpoint written under int8 scoring
-        // resumes cleanly when the caller re-requests int8.
         if let Some(p) = self.scoring {
             evaluator.set_scoring_precision(p);
             if evaluator.scoring_precision() != p {
@@ -1159,25 +1153,39 @@ mod tests {
         );
     }
 
+    /// No evaluator scores at int8, so every one is refused at build.
     #[test]
     fn unsupported_scoring_precision_is_rejected() {
-        let (ev, rc) = setup();
-        let err = SearchSession::builder()
-            .evaluator(&ev)
-            .reward(rc)
-            .scoring_precision(ScoringPrecision::Int8)
-            .build()
-            .err();
-        assert!(
-            matches!(err, Some(Error::InvalidConfig(ref m)) if m.contains("int8")),
-            "{err:?}"
+        use crate::evaluation::FastEvaluator;
+        use yoso_dataset::{SynthCifar, SynthCifarConfig};
+        use yoso_predictor::{collect_samples, PerfPredictor};
+        let (surrogate, rc) = setup();
+        let sk = NetworkSkeleton::tiny();
+        let samples = collect_samples(&sk, &yoso_accel::Simulator::fast(), 80, 7);
+        let fast = FastEvaluator::from_parts(
+            yoso_hypernet::HyperNet::new(sk.clone(), 0),
+            PerfPredictor::train(&sk, &samples).unwrap(),
+            SynthCifar::generate(&SynthCifarConfig::tiny()),
         );
-        assert!(SearchSession::builder()
-            .evaluator(&ev)
-            .reward(rc)
-            .scoring_precision(ScoringPrecision::F32)
-            .build()
-            .is_ok());
+        for ev in [&surrogate as &dyn Evaluator, &fast] {
+            let err = SearchSession::builder()
+                .evaluator(ev)
+                .reward(rc)
+                .scoring_precision(ScoringPrecision::Int8)
+                .build()
+                .err();
+            assert!(
+                matches!(err, Some(Error::InvalidConfig(ref m)) if m.contains("int8")),
+                "{}: {err:?}",
+                ev.name()
+            );
+            assert!(SearchSession::builder()
+                .evaluator(ev)
+                .reward(rc)
+                .scoring_precision(ScoringPrecision::F32)
+                .build()
+                .is_ok());
+        }
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! `FastEvaluator`'s accuracy telemetry: traced runs time every
-//! validation-batch walk into an `eval.accuracy.<precision>` span and
-//! count each accuracy query as a cache hit or miss; untraced runs record
-//! nothing. (Alone in its test binary: the trace registry is
-//! process-global, so a concurrent traced run would add to the counted
-//! deltas.)
+//! validation-batch walk into an `eval.accuracy.f32` span and count each
+//! accuracy query as a cache hit or miss; untraced runs record nothing.
+//! (Alone in its test binary: the trace registry is process-global, so a
+//! concurrent traced run would add to the counted deltas.)
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use yoso_accel::Simulator;
 use yoso_arch::{DesignPoint, NetworkSkeleton};
-use yoso_core::{Evaluator, FastEvaluator, ScoringPrecision};
+use yoso_core::{Evaluator, FastEvaluator};
 use yoso_dataset::{SynthCifar, SynthCifarConfig};
 use yoso_hypernet::HyperNet;
 use yoso_predictor::{collect_samples, PerfPredictor};
@@ -30,20 +29,18 @@ fn evaluator() -> FastEvaluator {
     ev
 }
 
-/// `(f32 spans, int8 spans, cache hits, cache misses)` recorded since the
-/// last reset.
-fn recorded(snap: &RegistrySnapshot) -> (u64, u64, u64, u64) {
-    let spans = |name| snap.histogram(name).map_or(0, |h| h.count());
+/// `(walk spans, cache hits, cache misses)` recorded since the last
+/// reset.
+fn recorded(snap: &RegistrySnapshot) -> (u64, u64, u64) {
     (
-        spans("eval.accuracy.f32"),
-        spans("eval.accuracy.int8"),
+        snap.histogram("eval.accuracy.f32").map_or(0, |h| h.count()),
         snap.counter("eval.accuracy.cache_hits"),
         snap.counter("eval.accuracy.cache_misses"),
     )
 }
 
 /// Runs `run` after a registry reset and returns what it recorded.
-fn record(run: impl FnOnce()) -> (u64, u64, u64, u64) {
+fn record(run: impl FnOnce()) -> (u64, u64, u64) {
     yoso_trace::reset();
     run();
     recorded(&yoso_trace::snapshot())
@@ -52,37 +49,37 @@ fn record(run: impl FnOnce()) -> (u64, u64, u64, u64) {
 #[test]
 fn traced_scoring_counts_walks_and_cache_queries() {
     let mut rng = StdRng::seed_from_u64(3);
-    let points: Vec<DesignPoint> = (0..5).map(|_| DesignPoint::random(&mut rng)).collect();
-    let p = points.len() as u64;
+    let points: Vec<DesignPoint> = (0..6).map(|_| DesignPoint::random(&mut rng)).collect();
+    let (batch, fresh) = (&points[..5], &points[5]);
+    let p = batch.len() as u64;
 
     yoso_trace::set_enabled(false);
     let untraced = evaluator();
     let got = record(|| {
-        untraced.evaluate_batch(&points).unwrap();
-        untraced.evaluate_batch(&points).unwrap();
+        untraced.evaluate_batch(batch).unwrap();
+        untraced.evaluate_batch(batch).unwrap();
     });
-    assert_eq!(got, (0, 0, 0, 0), "untraced scoring recorded telemetry");
+    assert_eq!(got, (0, 0, 0), "untraced scoring recorded telemetry");
 
     yoso_trace::set_enabled(true);
     let ev = evaluator();
     let cold = record(|| {
-        ev.evaluate_batch(&points).unwrap();
+        ev.evaluate_batch(batch).unwrap();
     });
-    assert_eq!(cold, (p * VAL_BATCHES, 0, 0, p), "cold batch");
+    assert_eq!(cold, (p * VAL_BATCHES, 0, p), "cold batch");
     let warm = record(|| {
-        ev.evaluate_batch(&points).unwrap();
+        ev.evaluate_batch(batch).unwrap();
     });
-    assert_eq!(warm, (0, 0, p, 0), "warm batch");
+    assert_eq!(warm, (0, p, 0), "warm batch");
 
-    // The per-point path, at the other precision (whose cache is cold).
-    ev.set_scoring_precision(ScoringPrecision::Int8);
+    // The per-point path, on a point the batches never scored.
     let cold = record(|| {
-        ev.evaluate(&points[0]).unwrap();
+        ev.evaluate(fresh).unwrap();
     });
-    assert_eq!(cold, (0, VAL_BATCHES, 0, 1), "cold int8 point");
+    assert_eq!(cold, (VAL_BATCHES, 0, 1), "cold point");
     let warm = record(|| {
-        ev.evaluate(&points[0]).unwrap();
+        ev.evaluate(fresh).unwrap();
     });
-    assert_eq!(warm, (0, 0, 1, 0), "warm int8 point");
+    assert_eq!(warm, (0, 1, 0), "warm point");
     yoso_trace::set_enabled(false);
 }

@@ -26,19 +26,13 @@
 //! use yoso_arch::{Genotype, NetworkSkeleton};
 //! use yoso_dataset::{SynthCifar, SynthCifarConfig};
 //! use yoso_hypernet::{HyperNet, HyperTrainConfig};
-//! use yoso_nn::ScoringPrecision;
 //!
 //! let data = SynthCifar::generate(&SynthCifarConfig::tiny());
 //! let mut hyper = HyperNet::new(NetworkSkeleton::tiny(), 0);
 //! let cfg = HyperTrainConfig { epochs: 1, ..Default::default() };
 //! hyper.train(&data, &cfg);
 //! let mut rng = StdRng::seed_from_u64(1);
-//! let acc = hyper.evaluate_genotype(
-//!     &Genotype::random(&mut rng),
-//!     &data.val,
-//!     64,
-//!     ScoringPrecision::F32,
-//! );
+//! let acc = hyper.evaluate_genotype(&Genotype::random(&mut rng), &data.val, 64);
 //! assert!((0.0..=1.0).contains(&acc));
 //! ```
 
@@ -52,8 +46,7 @@ use std::collections::HashMap;
 use yoso_arch::{Genotype, NetworkPlan, NetworkSkeleton, Op, INTERNAL_NODES, NODES_PER_CELL};
 use yoso_dataset::{Split, SynthCifar};
 use yoso_nn::{
-    evaluate_with, forward_network, infer_network, ConvBn, Head, OpWeights, ScoringPrecision,
-    WeightProvider,
+    evaluate_with, forward_network, infer_network, ConvBn, Head, OpWeights, WeightProvider,
 };
 use yoso_persist::{ByteReader, ByteWriter, PersistError, Snapshot};
 use yoso_tensor::{CosineLr, Graph, ParamStore, Scratch, Tensor};
@@ -264,21 +257,13 @@ impl HyperNet {
 
     /// Validation accuracy of a genotype with *inherited* weights — a
     /// single test run, the paper's fast accuracy evaluation — on the
-    /// tape-free [`infer_network`] walk at `precision`. At f32 the logits
-    /// are bit-identical to the training tape's; int8 pays conv
-    /// quantization error, and the `quantized_scoring` integration test
-    /// pins its rank correlation with the f32 scores.
-    pub fn evaluate_genotype(
-        &self,
-        genotype: &Genotype,
-        split: &Split,
-        batch_size: usize,
-        precision: ScoringPrecision,
-    ) -> f64 {
+    /// tape-free [`infer_network`] walk, whose logits are bit-identical
+    /// to the training tape's.
+    pub fn evaluate_genotype(&self, genotype: &Genotype, split: &Split, batch_size: usize) -> f64 {
         let plan = self.skeleton.compile(genotype);
         let provider = self.provider(&plan);
         evaluate_with(split, batch_size, |images| {
-            infer_network(&plan, &self.store, &provider, &images, precision)
+            infer_network(&plan, &self.store, &provider, &images)
         })
     }
 
@@ -343,12 +328,7 @@ impl HyperNet {
                 self.masked_sgd_step(lr, cfg.momentum, cfg.weight_decay);
             }
             let probe = Genotype::random(&mut rng);
-            let sampled_val_acc = self.evaluate_genotype(
-                &probe,
-                &data.val,
-                cfg.batch_size.max(32),
-                ScoringPrecision::F32,
-            );
+            let sampled_val_acc = self.evaluate_genotype(&probe, &data.val, cfg.batch_size.max(32));
             history.push(HyperEpochStat {
                 epoch,
                 train_loss: loss_sum / nb as f64,
@@ -453,8 +433,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         for _ in 0..5 {
             let g = Genotype::random(&mut rng);
-            let a = hyper.evaluate_genotype(&g, &data.val, 32, ScoringPrecision::F32);
-            let b = back.evaluate_genotype(&g, &data.val, 32, ScoringPrecision::F32);
+            let a = hyper.evaluate_genotype(&g, &data.val, 32);
+            let b = back.evaluate_genotype(&g, &data.val, 32);
             assert_eq!(a.to_bits(), b.to_bits());
         }
         // Truncated snapshot -> typed error.
@@ -491,14 +471,7 @@ mod tests {
         // path cannot drag the estimate below chance.
         let mut rng = StdRng::seed_from_u64(9);
         let mean_acc: f64 = (0..8)
-            .map(|_| {
-                hyper.evaluate_genotype(
-                    &Genotype::random(&mut rng),
-                    &data.val,
-                    64,
-                    ScoringPrecision::F32,
-                )
-            })
+            .map(|_| hyper.evaluate_genotype(&Genotype::random(&mut rng), &data.val, 64))
             .sum::<f64>()
             / 8.0;
         assert!(mean_acc > 0.11, "mean inherited accuracy {mean_acc}");
@@ -510,8 +483,8 @@ mod tests {
         let hyper = HyperNet::new(NetworkSkeleton::tiny(), 2);
         let mut rng = StdRng::seed_from_u64(3);
         let g = Genotype::random(&mut rng);
-        let a = hyper.evaluate_genotype(&g, &data.val, 64, ScoringPrecision::F32);
-        let b = hyper.evaluate_genotype(&g, &data.val, 64, ScoringPrecision::F32);
+        let a = hyper.evaluate_genotype(&g, &data.val, 64);
+        let b = hyper.evaluate_genotype(&g, &data.val, 64);
         assert_eq!(a, b);
     }
 
@@ -528,14 +501,7 @@ mod tests {
         hyper.train(&data, &cfg);
         let mut rng = StdRng::seed_from_u64(5);
         let accs: Vec<f64> = (0..5)
-            .map(|_| {
-                hyper.evaluate_genotype(
-                    &Genotype::random(&mut rng),
-                    &data.val,
-                    64,
-                    ScoringPrecision::F32,
-                )
-            })
+            .map(|_| hyper.evaluate_genotype(&Genotype::random(&mut rng), &data.val, 64))
             .collect();
         let distinct = accs.windows(2).any(|w| (w[0] - w[1]).abs() > 1e-9);
         assert!(distinct, "all sub-models identical: {accs:?}");

@@ -11,10 +11,8 @@
 //! HyperNet (`yoso-hypernet`) share exactly one forward implementation —
 //! which is what makes weight inheritance meaningful. Training runs it on
 //! the autograd tape ([`forward_network`]); every inference runs the
-//! tape-free [`infer_network`] walk without building a `Graph`. At
-//! [`ScoringPrecision::F32`] the walk mirrors the tape op for op and
-//! returns bit-identical logits; at [`ScoringPrecision::Int8`] the same
-//! walk lowers each dense conv to an integer GEMM.
+//! tape-free [`infer_network`] walk without building a `Graph`. The walk
+//! mirrors the tape op for op and returns bit-identical logits.
 //!
 //! ## Example
 //!
@@ -40,6 +38,6 @@ pub mod network;
 pub mod weights;
 
 pub use forward::forward_network;
-pub use infer::{infer_network, ScoringPrecision};
+pub use infer::infer_network;
 pub use network::{evaluate_with, CellNetwork, EpochStat, TrainConfig, TrainHistory};
 pub use weights::{ConvBn, Head, OpWeights, SepConv, WeightProvider};

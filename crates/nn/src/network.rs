@@ -3,7 +3,7 @@
 //! (paper step 3 / Fig. 5(b) ground truth).
 
 use crate::forward::forward_network;
-use crate::infer::{infer_network, ScoringPrecision};
+use crate::infer::infer_network;
 use crate::weights::{ConvBn, Head, OpWeights, WeightProvider};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -186,15 +186,9 @@ impl CellNetwork {
     }
 
     /// Computes logits for a batch of images on the tape-free
-    /// [`infer_network`] walk at f32.
+    /// [`infer_network`] walk.
     pub fn logits(&self, images: Tensor) -> Tensor {
-        infer_network(
-            &self.plan,
-            &self.store,
-            &self.provider,
-            &images,
-            ScoringPrecision::F32,
-        )
+        infer_network(&self.plan, &self.store, &self.provider, &images)
     }
 
     /// Accuracy over an entire split (BN uses per-batch statistics, the

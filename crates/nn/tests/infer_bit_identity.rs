@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use yoso_arch::{Genotype, NetworkSkeleton};
-use yoso_nn::{forward_network, infer_network, CellNetwork, ScoringPrecision};
+use yoso_nn::{forward_network, infer_network, CellNetwork};
 use yoso_tensor::{Graph, ParamStore, Tensor};
 
 /// Genotypes drawn per (skeleton, batch size) pair.
@@ -62,8 +62,7 @@ fn infer_network_matches_forward_network_bit_for_bit() {
                 let store = perturbed_store(&net, &mut rng);
                 let input = salted_input(batch, sk, &mut rng);
 
-                let walked =
-                    infer_network(&plan, &store, net.provider(), &input, ScoringPrecision::F32);
+                let walked = infer_network(&plan, &store, net.provider(), &input);
                 let mut g = Graph::new();
                 let logits = forward_network(&plan, &mut g, &store, net.provider(), input);
                 let taped = g.value(logits);

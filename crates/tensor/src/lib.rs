@@ -47,7 +47,6 @@ pub mod graph;
 pub mod matmul;
 pub mod optim;
 pub mod param;
-pub mod quant;
 pub mod scratch;
 #[cfg(all(target_arch = "x86_64", not(yoso_force_scalar)))]
 pub(crate) mod simd;
@@ -62,6 +61,5 @@ pub use matmul::{
 };
 pub use optim::{Adam, CosineLr, Sgd};
 pub use param::{ParamId, ParamStore};
-pub use quant::{quant_tier, set_quant_tier, QuantTier, QuantWeights};
 pub use scratch::Scratch;
 pub use tensor::Tensor;

@@ -173,11 +173,15 @@ pub fn reset() {
 mod tests {
     use super::*;
 
-    // Registry state is process-global and the enabled flag is shared, so
-    // every assertion here is delta-based and re-enables around itself.
+    // Registry state is process-global, so every assertion here is
+    // delta-based. The enabled flag is shared too: each test that sets it
+    // holds `FLAG` until it is done, or a concurrent test could flip it
+    // between its `set_enabled` and its recording.
+    static FLAG: Mutex<()> = Mutex::new(());
 
     #[test]
     fn disabled_paths_record_nothing() {
+        let _flag = FLAG.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(false);
         let before = snapshot();
         counter_add("test.disabled.counter", 3);
@@ -196,6 +200,7 @@ mod tests {
 
     #[test]
     fn enabled_counters_and_spans_accumulate() {
+        let _flag = FLAG.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(true);
         let before = snapshot();
         counter_add("test.enabled.counter", 2);

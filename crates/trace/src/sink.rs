@@ -163,6 +163,12 @@ impl Drop for Inner {
 mod tests {
     use super::*;
 
+    /// A temp-file path of this process alone, so concurrent runs of the
+    /// suite never write to each other's files.
+    fn temp_path(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("{name}-{}.jsonl", std::process::id()))
+    }
+
     #[test]
     fn disabled_trace_is_inert() {
         let t = Trace::disabled();
@@ -196,7 +202,7 @@ mod tests {
 
     #[test]
     fn file_trace_writes_parseable_jsonl() {
-        let path = std::env::temp_dir().join("yoso_trace_sink_test.jsonl");
+        let path = temp_path("yoso_trace_sink_test");
         let t = Trace::to_path(&path).unwrap();
         t.emit(Event::new("iter").with_u64("i", 7).with_f64("r", 0.5));
         t.emit(Event::new("done"));
@@ -232,7 +238,7 @@ mod tests {
 
     #[test]
     fn drop_flushes_file_sink() {
-        let path = std::env::temp_dir().join("yoso_trace_drop_test.jsonl");
+        let path = temp_path("yoso_trace_drop_test");
         {
             let t = Trace::to_path(&path).unwrap();
             t.emit(Event::new("only"));

@@ -16,7 +16,7 @@ use rand::SeedableRng;
 use yoso::arch::{Genotype, NetworkSkeleton};
 use yoso::dataset::{SynthCifar, SynthCifarConfig};
 use yoso::hypernet::{HyperNet, HyperTrainConfig};
-use yoso::nn::{infer_network, ScoringPrecision};
+use yoso::nn::infer_network;
 use yoso::persist::{fnv1a, ByteWriter};
 use yoso::tensor::Tensor;
 
@@ -28,13 +28,7 @@ const GENOTYPES: usize = 3;
 fn f32_logits(hyper: &HyperNet, genotype: &Genotype, images: &Tensor) -> Tensor {
     let plan = hyper.skeleton().compile(genotype);
     let provider = hyper.provider(&plan);
-    infer_network(
-        &plan,
-        hyper.store(),
-        &provider,
-        images,
-        ScoringPrecision::F32,
-    )
+    infer_network(&plan, hyper.store(), &provider, images)
 }
 
 /// Digest of the f32 logits of seeded genotypes on a briefly trained

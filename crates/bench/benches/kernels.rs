@@ -12,8 +12,8 @@ use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
 use yoso_predictor::{GaussianProcess, Regressor};
 use yoso_tensor::conv::{conv2d_backward_scratch, conv2d_forward_scratch};
-use yoso_tensor::matmul::sgemm;
-use yoso_tensor::{set_kernel, ConvGeom, KernelKind, Scratch, Tensor};
+use yoso_tensor::matmul::{sgemm, sgemm_reference};
+use yoso_tensor::{ConvGeom, Scratch, Tensor};
 
 /// im2col panel shapes from a HyperNet training step on the paper
 /// skeleton: `cout x (cin*k*k) x (hout*wout)` per sample.
@@ -24,33 +24,30 @@ const GEMM_SHAPES: &[(&str, usize, usize, usize)] = &[
 ];
 
 fn bench_gemm(c: &mut Criterion) {
-    yoso_tensor::set_matmul_threads(1);
     let mut rng = StdRng::seed_from_u64(0);
     let mut group = c.benchmark_group("gemm");
     for &(name, m, k, n) in GEMM_SHAPES {
         let a: Vec<f32> = (0..m * k).map(|_| rng.random_range(-1.0..1.0)).collect();
         let b: Vec<f32> = (0..k * n).map(|_| rng.random_range(-1.0..1.0)).collect();
         let mut out = vec![0.0f32; m * n];
-        for kind in [KernelKind::Packed, KernelKind::Reference] {
-            let label = match kind {
-                KernelKind::Packed => format!("{name}/packed"),
-                KernelKind::Reference => format!("{name}/reference"),
-            };
-            group.bench_function(&label, |bch| {
-                set_kernel(kind);
-                bch.iter(|| {
-                    sgemm(m, k, n, &a, &b, &mut out);
-                    black_box(&out);
-                })
-            });
-        }
+        group.bench_function(format!("{name}/packed"), |bch| {
+            bch.iter(|| {
+                sgemm(m, k, n, &a, &b, &mut out);
+                black_box(&out);
+            })
+        });
+        group.bench_function(format!("{name}/reference"), |bch| {
+            bch.iter(|| {
+                out.fill(0.0);
+                sgemm_reference(m, k, n, &a, &b, &mut out);
+                black_box(&out);
+            })
+        });
     }
-    set_kernel(KernelKind::Packed);
     group.finish();
 }
 
 fn bench_conv(c: &mut Criterion) {
-    yoso_tensor::set_matmul_threads(1);
     let mut rng = StdRng::seed_from_u64(1);
     let x = Tensor::randn(&[8, 16, 16, 16], 1.0, &mut rng);
     let w = Tensor::he_normal(&[16, 16, 3, 3], 16 * 9, &mut rng);

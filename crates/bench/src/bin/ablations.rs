@@ -11,9 +11,8 @@
 //!    array (an extension beyond the paper's template) would close the
 //!    dataflow gap.
 //!
-//! Usage: `cargo run --release -p yoso-bench --bin ablations --
-//!   [--which 1,2,3,4,5,6] [--threads 0] [--surrogate exact|sparse]
-//!   [--pareto-out front.csv]`
+//! Usage: `cargo run --release -p yoso-bench --bin ablations -- [flags]`,
+//! with the flags of [`yoso_bench::usage::ABLATIONS`].
 //!
 //! `--surrogate sparse` runs ablation 3's budget curve on the
 //! inducing-point sparse GP backend instead of the exact one;
@@ -24,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use yoso_accel::Simulator;
 use yoso_arch::{Dataflow, Genotype, HwConfig, NetworkSkeleton, PeArray};
-use yoso_bench::{run_main, Args, Table};
+use yoso_bench::{run_main, usage, Args, Table};
 use yoso_core::error::Error;
 use yoso_core::evaluation::{calibrate_constraints, SurrogateEvaluator};
 use yoso_core::reward::{RewardConfig, RewardForm};
@@ -45,7 +44,7 @@ fn main() {
 }
 
 fn real_main() -> Result<(), Error> {
-    let args = Args::parse();
+    let args = Args::parse(usage::ABLATIONS);
     println!("worker pool: {} threads", args.configure_threads());
     let trace = args.configure_trace();
     args.configure_chaos();

@@ -6,14 +6,16 @@
 //!   must exceed 2x;
 //! * per-point vs batched GP prediction over a rollout-sized batch.
 //!
+//! The snapshot is written only after the 2x target holds, so a failing
+//! run leaves the checked-in file alone.
+//!
 //! Usage: `cargo run --release -p yoso-bench --bin bench_parallel --
-//!   [--samples 1000] [--batch 256] [--seed 0] [--out BENCH_parallel.json]
-//!   [--trace-out trace.jsonl]`
+//! [flags]`, with the flags of [`yoso_bench::usage::BENCH_PARALLEL`].
 
 use std::time::Instant;
 use yoso_accel::Simulator;
 use yoso_arch::{DesignPoint, NetworkSkeleton};
-use yoso_bench::{bench_meta_json, finish_trace, run_main, Args};
+use yoso_bench::{bench_meta_json, finish_trace, run_main, usage, Args};
 use yoso_core::error::Error;
 use yoso_predictor::perf::{collect_samples, PerfPredictor};
 
@@ -28,7 +30,7 @@ fn main() {
 }
 
 fn real_main() -> Result<(), Error> {
-    let args = Args::parse();
+    let args = Args::parse(usage::BENCH_PARALLEL);
     let samples = args.usize("--samples", 1000);
     let batch = args.usize("--batch", 256);
     let seed = args.u64("--seed", 0);
@@ -89,12 +91,12 @@ fn real_main() -> Result<(), Error> {
     let json = format!(
         "{{\n  \"bench\": \"parallel evaluation pipeline\",\n  {meta},\n  \"collect_samples\": {{\n    \"samples\": {samples},\n    \"fidelity\": \"exact\",\n    \"serial_cold_ms\": {serial_cold:.1},\n    \"parallel_cold_ms\": {parallel_cold:.1},\n    \"parallel_warm_ms\": {parallel_warm:.1},\n    \"thread_speedup\": {thread_speedup:.2},\n    \"warm_cache_speedup\": {cache_speedup:.2}\n  }},\n  \"gp_prediction\": {{\n    \"batch\": {batch},\n    \"per_point_ms\": {per_point:.1},\n    \"batched_ms\": {batched:.1},\n    \"speedup\": {gp_speedup:.2}\n  }}\n}}\n"
     );
-    std::fs::write(&out, json)?;
-    println!("written {out}");
-    finish_trace(&trace);
     assert!(
         cache_speedup >= 2.0,
         "warm-cache speedup {cache_speedup:.2}x below the 2x target"
     );
+    std::fs::write(&out, json)?;
+    println!("written {out}");
+    finish_trace(&trace);
     Ok(())
 }

@@ -4,7 +4,7 @@
 //! its lowest MSE.
 //!
 //! Usage: `cargo run --release -p yoso-bench --bin fig4_regressors --
-//!   [--train 1000] [--test 300] [--seed 0] [--threads 0] [--paper]`
+//! [flags]`, with the flags of [`yoso_bench::usage::FIG4_REGRESSORS`].
 //!
 //! `--paper` uses the paper's exact sample counts (3000 / 600).
 //! `--threads 0` (default) uses all cores; sampling is deterministic and
@@ -13,7 +13,7 @@
 use std::time::Instant;
 use yoso_accel::Simulator;
 use yoso_arch::NetworkSkeleton;
-use yoso_bench::{run_main, write_csv, Args, Table};
+use yoso_bench::{run_main, usage, write_csv, Args, Table};
 use yoso_core::error::Error;
 use yoso_predictor::metrics::{mae, mse, r2};
 use yoso_predictor::perf::collect_samples;
@@ -25,7 +25,7 @@ fn main() {
 }
 
 fn real_main() -> Result<(), Error> {
-    let args = Args::parse();
+    let args = Args::parse(usage::FIG4_REGRESSORS);
     let (n_train, n_test) = if args.present("--paper") {
         (3000, 600)
     } else {

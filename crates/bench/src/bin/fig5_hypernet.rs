@@ -7,8 +7,7 @@
 //!   scaled down by default).
 //!
 //! Usage: `cargo run --release -p yoso-bench --bin fig5_hypernet --
-//!   [--part a|b|both] [--epochs 10] [--models 16] [--full-epochs 6]
-//!   [--seed 0] [--scale tiny|small|paper] [--noise 0.3] [--label-noise 0.02]`
+//! [flags]`, with the flags of [`yoso_bench::usage::FIG5_HYPERNET`].
 //!
 //! `--noise` overrides the dataset difficulty: harder datasets spread the
 //! fully-trained accuracies of different architectures apart, which is
@@ -18,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 use yoso_arch::{Genotype, NetworkSkeleton};
-use yoso_bench::{run_main, write_csv, Args, Table};
+use yoso_bench::{run_main, usage, write_csv, Args, Table};
 use yoso_core::error::Error;
 use yoso_dataset::{SynthCifar, SynthCifarConfig};
 use yoso_hypernet::{HyperNet, HyperTrainConfig};
@@ -41,7 +40,7 @@ fn main() {
 }
 
 fn real_main() -> Result<(), Error> {
-    let args = Args::parse();
+    let args = Args::parse(usage::FIG5_HYPERNET);
     let part = args.value("--part").unwrap_or_else(|| "both".into());
     let seed = args.u64("--seed", 0);
     let trace = args.configure_trace();

@@ -12,9 +12,7 @@
 //! in the paper (slower).
 //!
 //! Usage: `cargo run --release -p yoso-bench --bin fig6_search --
-//!   [--part a|b|c|all] [--iterations 2000] [--seed 0] [--fast-evaluator]
-//!   [--surrogate exact|sparse] [--pareto-out front.csv]
-//!   [--trace-out trace.jsonl]`
+//! [flags]`, with the flags of [`yoso_bench::usage::FIG6_SEARCH`].
 //!
 //! `--surrogate sparse` swaps the fast evaluator's performance GPs for
 //! the inducing-point sparse approximation (only meaningful with
@@ -28,7 +26,7 @@
 
 use std::time::Instant;
 use yoso_arch::NetworkSkeleton;
-use yoso_bench::{finish_trace, run_main, write_csv, Args};
+use yoso_bench::{finish_trace, run_main, usage, write_csv, Args};
 use yoso_core::analysis::save_pareto_csv;
 use yoso_core::error::Error;
 use yoso_core::evaluation::{calibrate_constraints, Evaluator, FastEvaluator, SurrogateEvaluator};
@@ -76,7 +74,7 @@ fn main() {
 }
 
 fn real_main() -> Result<(), Error> {
-    let args = Args::parse();
+    let args = Args::parse(usage::FIG6_SEARCH);
     let part = args.value("--part").unwrap_or_else(|| "all".into());
     let seed = args.u64("--seed", 0);
     let iterations = args.usize("--iterations", 2000);

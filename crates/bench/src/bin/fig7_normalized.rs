@@ -4,9 +4,10 @@
 //!
 //! Consumes `results/table2.csv` (run `table2_comparison` first).
 //!
-//! Usage: `cargo run --release -p yoso-bench --bin fig7_normalized`
+//! Usage: `cargo run --release -p yoso-bench --bin fig7_normalized --
+//! [flags]`, with the flags of [`yoso_bench::usage::FIG7_NORMALIZED`].
 
-use yoso_bench::{read_csv, run_main, write_csv, Table};
+use yoso_bench::{read_csv, run_main, usage, write_csv, Args, Table};
 use yoso_core::error::Error;
 
 fn bar(v: f64, scale: f64) -> String {
@@ -19,7 +20,7 @@ fn main() {
 }
 
 fn real_main() -> Result<(), Error> {
-    let trace = yoso_bench::Args::parse().configure_trace();
+    let trace = Args::parse(usage::FIG7_NORMALIZED).configure_trace();
     let (_, rows) = match read_csv("table2.csv") {
         Ok(v) => v,
         Err(e) => {

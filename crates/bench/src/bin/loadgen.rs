@@ -37,17 +37,12 @@
 //! CI `server` job boots the binary, runs loadgen against it, and
 //! waits for a clean exit).
 //!
-//! ```text
-//! loadgen [--addr HOST:PORT] [--tenants 8] [--sessions 13]
-//!         [--iterations 12] [--max-jobs 8] [--threads N]
-//!         [--matmul-threads N] [--chaos-plan FILE]
-//!         [--out BENCH_server.json]
-//! ```
+//! Flags: [`yoso_bench::usage::LOADGEN`].
 
 use std::net::SocketAddr;
 use std::time::Instant;
 
-use yoso_bench::{bench_meta_json, run_main, Args, Table};
+use yoso_bench::{bench_meta_json, run_main, usage, Args, Table};
 use yoso_client::Client;
 use yoso_core::error::Error;
 use yoso_core::evaluation::calibrate_constraints;
@@ -143,7 +138,7 @@ fn main() {
 
 #[allow(clippy::too_many_lines)]
 fn real_main() -> Result<(), Error> {
-    let args = Args::parse();
+    let args = Args::parse(usage::LOADGEN);
     let tenants = args.usize("--tenants", 8).max(1);
     let sessions = args.usize("--sessions", 13).max(1);
     let iterations = args.usize("--iterations", 12);

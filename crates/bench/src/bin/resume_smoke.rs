@@ -17,7 +17,7 @@
 //! divergence, so CI can gate on it.
 //!
 //! Usage: `cargo run --release -p yoso-bench --bin resume_smoke --
-//!   [--iterations 30] [--kill-at 15] [--seed 0] [--chaos-plan <path>]`
+//! [flags]`, with the flags of [`yoso_bench::usage::RESUME_SMOKE`].
 //!
 //! With `--chaos-plan` the whole drill runs under an armed fault plan.
 //! Only *transient* faults (worker panics, slow evaluations) keep the
@@ -27,7 +27,7 @@
 //! in the `chaos_resilience` integration test instead.
 
 use std::path::PathBuf;
-use yoso_bench::{run_main, Args};
+use yoso_bench::{run_main, usage, Args};
 use yoso_core::checkpoint::checkpoint_file_name;
 use yoso_core::error::Error;
 use yoso_core::evaluation::{calibrate_constraints, SurrogateEvaluator};
@@ -49,7 +49,7 @@ fn main() {
 }
 
 fn real_main() -> Result<(), Error> {
-    let args = Args::parse();
+    let args = Args::parse(usage::RESUME_SMOKE);
     let iterations = args.usize("--iterations", 30);
     let kill_at = args.usize("--kill-at", 15);
     let seed = args.u64("--seed", 0);

@@ -21,19 +21,15 @@
 //! jobs recovered) into [`yoso_bench::results_dir`]. Any contract
 //! violation exits nonzero — this is the CI `server-chaos` gate.
 //!
-//! ```text
-//! server_chaos [--tenants 4] [--sessions 2] [--iterations 14]
-//!              [--kill-iterations 40] [--out BENCH_server_chaos.json]
-//! ```
-//!
-//! (Internally re-executes itself with `--serve` as the child daemon.)
+//! Flags: [`yoso_bench::usage::SERVER_CHAOS`]. (It re-executes itself
+//! with `--serve` as the child daemon.)
 
 use std::io::BufRead;
 use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use yoso_bench::{bench_meta_json, run_main, Args};
+use yoso_bench::{bench_meta_json, run_main, usage, Args};
 use yoso_chaos::{FaultKind, FaultPlan, FaultRule};
 use yoso_client::{Client, ResilientClient, RetryPolicy};
 use yoso_core::error::Error;
@@ -254,17 +250,16 @@ fn drive_fleet(
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(usage::SERVER_CHAOS);
     if args.present("--serve") {
         run_main(|| serve_mode(&args));
-        return;
+    } else {
+        run_main(|| real_main(&args));
     }
-    run_main(real_main);
 }
 
 #[allow(clippy::too_many_lines)]
-fn real_main() -> Result<(), Error> {
-    let args = Args::parse();
+fn real_main(args: &Args) -> Result<(), Error> {
     let tenants = args.usize("--tenants", 4).max(1);
     let sessions = args.usize("--sessions", 2).max(1);
     let iterations = args.usize("--iterations", 14);

@@ -11,9 +11,7 @@
 //! energy-leaning reward (`Yoso_eer`).
 //!
 //! Usage: `cargo run --release -p yoso-bench --bin table2_comparison --
-//!   [--iterations 600] [--topn 5] [--hyper-epochs 6] [--full-epochs 6]
-//!   [--seed 0] [--threads 0] [--surrogate exact|sparse]
-//!   [--pareto-out front.csv]`
+//! [flags]`, with the flags of [`yoso_bench::usage::TABLE2_COMPARISON`].
 //!
 //! `--threads 0` (default) uses all cores for sampling, hardware
 //! enumeration and reranking. `--surrogate sparse` builds the fast
@@ -24,7 +22,7 @@
 use std::time::Instant;
 use yoso_accel::Simulator;
 use yoso_arch::{DesignPoint, Genotype, NetworkSkeleton};
-use yoso_bench::{run_main, write_csv, Args, Table};
+use yoso_bench::{run_main, usage, write_csv, Args, Table};
 use yoso_core::error::Error;
 use yoso_core::evaluation::{calibrate_constraints, FastEvaluator};
 use yoso_core::reward::RewardConfig;
@@ -69,7 +67,7 @@ fn main() {
 }
 
 fn real_main() -> Result<(), Error> {
-    let args = Args::parse();
+    let args = Args::parse(usage::TABLE2_COMPARISON);
     let iterations = args.usize("--iterations", 600);
     let top_n = args.usize("--topn", 5);
     let hyper_epochs = args.usize("--hyper-epochs", 6);

@@ -74,11 +74,11 @@ pub fn read_csv(name: &str) -> std::io::Result<(Vec<String>, Vec<Vec<String>>)> 
 }
 
 /// Build/runtime provenance block shared by every `BENCH_*.json`
-/// emitter: detected core count, the matmul and worker-pool thread
-/// settings in effect, and the build profile. Without this a snapshot
-/// number is uninterpretable — a 2x speedup measured on one core in a
-/// debug build is a different claim than the same ratio in release on
-/// eight.
+/// emitter: detected core count, the worker-pool thread setting in
+/// effect, the SGEMM microkernel's SIMD tier, and the build profile.
+/// Without this a snapshot number is uninterpretable — a 2x speedup
+/// measured on one core in a debug build is a different claim than the
+/// same ratio in release on eight.
 ///
 /// Returns a JSON object fragment (no trailing comma/newline) indented
 /// for embedding at the given level, e.g.
@@ -93,8 +93,7 @@ pub fn bench_meta_json(indent: usize) -> String {
         "release"
     };
     format!(
-        "\"meta\": {{\n{inner}\"cores\": {cores},\n{inner}\"matmul_threads\": {},\n{inner}\"pool_threads\": {},\n{inner}\"simd_tier\": \"{}\",\n{inner}\"profile\": \"{profile}\"\n{pad}}}",
-        yoso_tensor::matmul_threads(),
+        "\"meta\": {{\n{inner}\"cores\": {cores},\n{inner}\"pool_threads\": {},\n{inner}\"simd_tier\": \"{}\",\n{inner}\"profile\": \"{profile}\"\n{pad}}}",
         yoso_pool::num_threads(),
         yoso_tensor::simd_tier(),
     )
@@ -116,16 +115,84 @@ pub fn run_main(body: impl FnOnce() -> Result<(), yoso_core::Error>) {
     }
 }
 
-/// The flag surface shared by every bench binary, parsed once.
-///
-/// Centralizes the flags each driver used to scan for by hand —
-/// `--threads`, `--matmul-threads`, `--trace-out`, `--chaos-plan` — plus
-/// typed accessors for bin-specific flags, so a new binary gets the
-/// whole shared surface from two lines:
+/// Usage lines of the bench bins, one per bin. [`Args::parse`] accepts
+/// exactly the flags its bin's line names: a `[--flag]` group is a
+/// switch and a `[--flag VALUE]` group takes one value (shown as its
+/// default where it has one). Any other argument ends the process with
+/// the line before the bin does any work.
+pub mod usage {
+    /// `ablations`: `--which` picks ablations by digit, `--pareto-out`
+    /// writes the last search ablation's (2 or 4) archive.
+    pub const ABLATIONS: &str = "ablations [--which 123456] [--threads 0] \
+        [--surrogate exact|sparse] [--pareto-out FILE] [--trace-out FILE] [--chaos-plan FILE]";
+    /// `bench_kernels`.
+    pub const BENCH_KERNELS: &str =
+        "bench_kernels [--iters 40] [--seed 0] [--out BENCH_kernels.json]";
+    /// `bench_parallel`.
+    pub const BENCH_PARALLEL: &str = "bench_parallel [--samples 1000] [--batch 256] [--seed 0] \
+        [--out BENCH_parallel.json] [--trace-out FILE] [--chaos-plan FILE]";
+    /// `fig4_regressors`: `--paper` uses the paper's sample counts.
+    pub const FIG4_REGRESSORS: &str = "fig4_regressors [--train 1000] [--test 300] [--paper] \
+        [--seed 0] [--threads 0] [--trace-out FILE] [--chaos-plan FILE]";
+    /// `fig5_hypernet`.
+    pub const FIG5_HYPERNET: &str = "fig5_hypernet [--part a|b|both] [--epochs 10] [--models 16] \
+        [--full-epochs 6] [--seed 0] [--scale tiny|small|paper] [--noise 0.3] \
+        [--label-noise 0.02] [--trace-out FILE] [--chaos-plan FILE]";
+    /// `fig6_search`.
+    pub const FIG6_SEARCH: &str = "fig6_search [--part a|b|c|all] [--iterations 2000] [--seed 0] \
+        [--fast-evaluator] [--hyper-epochs 6] [--surrogate exact|sparse] [--pareto-out FILE] \
+        [--trace-out FILE] [--chaos-plan FILE]";
+    /// `fig7_normalized`.
+    pub const FIG7_NORMALIZED: &str = "fig7_normalized [--trace-out FILE]";
+    /// `loadgen`: `--addr` drives a running daemon instead of an
+    /// in-process server.
+    pub const LOADGEN: &str = "loadgen [--addr HOST:PORT] [--tenants 8] [--sessions 13] \
+        [--iterations 12] [--max-jobs 8] [--threads 0] [--chaos-plan FILE] \
+        [--out BENCH_server.json]";
+    /// `resume_smoke`.
+    pub const RESUME_SMOKE: &str =
+        "resume_smoke [--iterations 30] [--kill-at 15] [--seed 0] [--chaos-plan FILE]";
+    /// `server_chaos`; it runs itself with `--serve` and the flags after
+    /// it as its child daemon.
+    pub const SERVER_CHAOS: &str = "server_chaos [--tenants 4] [--sessions 2] [--iterations 14] \
+        [--kill-iterations 40] [--out BENCH_server_chaos.json] [--threads 0] \
+        [--serve] [--addr HOST:PORT] [--root DIR] [--max-jobs 4] [--chaos-plan FILE]";
+    /// `table2_comparison`.
+    pub const TABLE2_COMPARISON: &str = "table2_comparison [--iterations 600] [--topn 5] \
+        [--hyper-epochs 6] [--full-epochs 6] [--seed 0] [--threads 0] \
+        [--surrogate exact|sparse] [--pareto-out FILE] [--trace-out FILE] [--chaos-plan FILE]";
+
+    /// Every usage line above.
+    pub const ALL: &[&str] = &[
+        ABLATIONS,
+        BENCH_KERNELS,
+        BENCH_PARALLEL,
+        FIG4_REGRESSORS,
+        FIG5_HYPERNET,
+        FIG6_SEARCH,
+        FIG7_NORMALIZED,
+        LOADGEN,
+        RESUME_SMOKE,
+        SERVER_CHAOS,
+        TABLE2_COMPARISON,
+    ];
+}
+
+/// The flags a usage line names, each with whether it takes a value.
+fn usage_flags(usage: &str) -> impl Iterator<Item = (&str, bool)> {
+    usage.split('[').skip(1).filter_map(|group| {
+        let mut words = group.split(']').next()?.split_whitespace();
+        let flag = words.next().filter(|w| w.starts_with("--"))?;
+        Some((flag, words.next().is_some()))
+    })
+}
+
+/// A bench bin's command line, checked against its usage line, with
+/// typed accessors for its flags.
 ///
 /// ```no_run
-/// let args = yoso_bench::Args::parse();
-/// let trace = args.configure(); // threads + chaos + trace, one call
+/// let args = yoso_bench::Args::parse(yoso_bench::usage::FIG6_SEARCH);
+/// let trace = args.configure_trace();
 /// ```
 #[derive(Debug, Clone)]
 pub struct Args {
@@ -133,14 +200,35 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses the process arguments.
-    pub fn parse() -> Args {
-        Args::from_argv(std::env::args().collect())
+    /// Parses the process arguments against `usage` (one of the
+    /// [`usage`] lines). On any argument the line does not name, prints
+    /// the line to stderr and exits with status 2.
+    pub fn parse(usage: &str) -> Args {
+        Args::from_argv(usage, std::env::args().collect()).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
     }
 
-    /// Parses an explicit argument vector (tests, embedded drivers).
-    pub fn from_argv(argv: Vec<String>) -> Args {
-        Args { argv }
+    /// Checks an explicit argument vector (program name first) against
+    /// `usage`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first argument `usage` does not name, with
+    /// the usage line, when there is one.
+    pub fn from_argv(usage: &str, argv: Vec<String>) -> Result<Args, String> {
+        let mut rest = argv.iter().skip(1);
+        while let Some(arg) = rest.next() {
+            match usage_flags(usage).find(|&(flag, _)| flag == arg) {
+                Some((_, true)) => {
+                    rest.next();
+                }
+                Some((_, false)) => {}
+                None => return Err(format!("unknown argument {arg:?}\nusage: {usage}")),
+            }
+        }
+        Ok(Args { argv })
     }
 
     /// Value of `--flag <value>`.
@@ -201,20 +289,13 @@ impl Args {
         self.value("--pareto-out").map(PathBuf::from)
     }
 
-    /// Applies the shared thread flags and returns the resolved worker
-    /// count:
-    ///
-    /// * `--threads <n>` sizes the global worker pool (candidate-level
-    ///   parallelism: rollout fan-out, batched evaluation);
-    /// * `--matmul-threads <n>` independently sizes the packed-GEMM
-    ///   panel parallelism inside a single matmul
-    ///   ([`yoso_tensor::set_matmul_threads`]).
-    ///
-    /// `0` or an absent flag means "all cores" for both. Both settings
-    /// are recorded in every `BENCH_*.json` via [`bench_meta_json`].
+    /// Applies the shared `--threads <n>` flag, which sizes the global
+    /// worker pool (candidate-level parallelism: rollout fan-out, batched
+    /// evaluation), and returns the resolved worker count. `0` or an
+    /// absent flag means all cores; every `BENCH_*.json` records the
+    /// count via [`bench_meta_json`].
     pub fn configure_threads(&self) -> usize {
         yoso_pool::set_num_threads(self.usize("--threads", 0));
-        yoso_tensor::set_matmul_threads(self.usize("--matmul-threads", 0));
         yoso_pool::num_threads()
     }
 
@@ -251,8 +332,12 @@ impl Args {
         true
     }
 
-    /// Applies the shared `--trace-out <path>` flag (see
-    /// [`configure_trace`]).
+    /// Applies the shared `--trace-out <path>` flag: when present,
+    /// switches global telemetry collection on and opens a JSONL file
+    /// sink at the given path; otherwise returns
+    /// [`yoso_trace::Trace::disabled`] and leaves telemetry off (the
+    /// near-no-op default). Pair with [`finish_trace`] at the end of the
+    /// run.
     pub fn configure_trace(&self) -> yoso_trace::Trace {
         let Some(path) = self.value("--trace-out") else {
             return yoso_trace::Trace::disabled();
@@ -269,54 +354,11 @@ impl Args {
             }
         }
     }
-
-    /// The full shared setup in one call — threads, chaos, trace —
-    /// returning the trace handle (pair with [`finish_trace`]).
-    pub fn configure(&self) -> yoso_trace::Trace {
-        self.configure_threads();
-        self.configure_chaos();
-        self.configure_trace()
-    }
-}
-
-/// Value of `--flag <value>` in the process arguments.
-pub fn arg_value(flag: &str) -> Option<String> {
-    Args::parse().value(flag)
-}
-
-/// `--flag <n>` parsed as usize, with default.
-pub fn arg_usize(flag: &str, default: usize) -> usize {
-    Args::parse().usize(flag, default)
-}
-
-/// `--flag <x>` parsed as u64, with default.
-pub fn arg_u64(flag: &str, default: u64) -> u64 {
-    Args::parse().u64(flag, default)
-}
-
-/// Presence of a boolean `--flag`.
-pub fn arg_present(flag: &str) -> bool {
-    Args::parse().present(flag)
-}
-
-/// Applies the shared thread flags from the process arguments (see
-/// [`Args::configure_threads`]).
-pub fn configure_threads() -> usize {
-    Args::parse().configure_threads()
-}
-
-/// Arms the shared `--chaos-plan` flag from the process arguments (see
-/// [`Args::configure_chaos`]).
-///
-/// # Panics
-///
-/// As [`Args::configure_chaos`].
-pub fn configure_chaos() -> bool {
-    Args::parse().configure_chaos()
 }
 
 /// Prints the per-kind chaos injection counters at the end of a run and
-/// disarms the injector. No-op when [`configure_chaos`] armed nothing.
+/// disarms the injector. No-op when [`Args::configure_chaos`] armed
+/// nothing.
 pub fn finish_chaos() {
     if !yoso_chaos::armed() {
         return;
@@ -332,16 +374,6 @@ pub fn finish_chaos() {
         }
     }
     yoso_chaos::disarm();
-}
-
-/// Applies the shared `--trace-out <path>` flag: when present, switches
-/// global telemetry collection on and opens a JSONL file sink at the
-/// given path; otherwise returns [`yoso_trace::Trace::disabled`] and
-/// leaves telemetry off (the near-no-op default).
-///
-/// Pair with [`finish_trace`] at the end of the run.
-pub fn configure_trace() -> yoso_trace::Trace {
-    Args::parse().configure_trace()
 }
 
 /// End-of-run telemetry: appends the subsystem summary events
@@ -564,8 +596,9 @@ mod tests {
         let meta = bench_meta_json(2);
         assert!(meta.starts_with("\"meta\": {"));
         assert!(meta.contains("\"cores\":"));
-        assert!(meta.contains("\"matmul_threads\":"));
         assert!(meta.contains("\"pool_threads\":"));
+        assert!(meta.contains("\"simd_tier\":"));
+        assert!(!meta.contains("matmul_threads"));
         assert!(
             meta.contains("\"profile\": \"debug\"") || meta.contains("\"profile\": \"release\"")
         );
@@ -575,11 +608,24 @@ mod tests {
         assert_eq!(opens, doc.matches('}').count());
     }
 
+    fn argv(words: &[&str]) -> Vec<String> {
+        std::iter::once("bin")
+            .chain(words.iter().copied())
+            .map(str::to_string)
+            .collect()
+    }
+
+    fn args(usage: &str, words: &[&str]) -> Args {
+        Args::from_argv(usage, argv(words)).unwrap()
+    }
+
     #[test]
     fn args_typed_accessors() {
-        let args = Args::from_argv(
-            [
-                "bin",
+        let usage =
+            "bin [--threads N] [--seed S] [--noise X] [--paper] [--part P] [--fast-evaluator]";
+        let args = args(
+            usage,
+            &[
                 "--threads",
                 "4",
                 "--seed",
@@ -589,10 +635,7 @@ mod tests {
                 "--paper",
                 "--part",
                 "both",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
+            ],
         );
         assert_eq!(args.usize("--threads", 0), 4);
         assert_eq!(args.u64("--seed", 0), 7);
@@ -604,38 +647,66 @@ mod tests {
         assert_eq!(args.usize("--missing", 9), 9);
     }
 
+    /// Flags deleted with what they set (the threaded GEMM's thread
+    /// count, int8 scoring's precision) and a stray word fail every
+    /// bin's parse with its usage line, instead of running without
+    /// effect.
+    #[test]
+    fn every_bin_rejects_arguments_its_usage_line_does_not_name() {
+        for usage in usage::ALL {
+            for words in [
+                &["--matmul-threads", "2"][..],
+                &["--scoring", "int8"],
+                &["--seed", "1", "stray"],
+            ] {
+                let err = Args::from_argv(usage, argv(words)).unwrap_err();
+                assert!(err.ends_with(&format!("usage: {usage}")), "{err}");
+            }
+        }
+        let err = Args::from_argv(usage::RESUME_SMOKE, argv(&["--scoring", "int8"])).unwrap_err();
+        assert!(err.starts_with("unknown argument \"--scoring\""), "{err}");
+    }
+
+    /// Every flag a usage line names is accepted, all at once, and reads
+    /// back: switches as present, value flags with their value.
+    #[test]
+    fn every_flag_in_a_bins_usage_line_is_accepted() {
+        for usage in usage::ALL {
+            let flags: Vec<(&str, bool)> = usage_flags(usage).collect();
+            assert!(!flags.is_empty(), "{usage}");
+            let words: Vec<&str> = flags
+                .iter()
+                .flat_map(|&(flag, takes_value)| {
+                    std::iter::once(flag).chain(takes_value.then_some("7"))
+                })
+                .collect();
+            let parsed = Args::from_argv(usage, argv(&words)).unwrap_or_else(|e| panic!("{e}"));
+            for (flag, takes_value) in flags {
+                if takes_value {
+                    assert_eq!(parsed.usize(flag, 0), 7, "{usage}: {flag}");
+                } else {
+                    assert!(parsed.present(flag), "{usage}: {flag}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn args_surrogate_parses_and_rejects_unknown_backends() {
-        let sparse = Args::from_argv(
-            ["bin", "--surrogate", "sparse"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-        );
+        let fig6 = usage::FIG6_SEARCH;
         assert_eq!(
-            sparse.surrogate().unwrap(),
+            args(fig6, &["--surrogate", "sparse"]).surrogate().unwrap(),
             yoso_core::SurrogateKind::Sparse
         );
-        let exact = Args::from_argv(
-            ["bin", "--surrogate", "exact"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-        );
-        assert_eq!(exact.surrogate().unwrap(), yoso_core::SurrogateKind::Exact);
-        let default = Args::from_argv(vec!["bin".to_string()]);
         assert_eq!(
-            default.surrogate().unwrap(),
+            args(fig6, &["--surrogate", "exact"]).surrogate().unwrap(),
             yoso_core::SurrogateKind::Exact
         );
-
-        let bad = Args::from_argv(
-            ["bin", "--surrogate", "dense"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
+        assert_eq!(
+            args(fig6, &[]).surrogate().unwrap(),
+            yoso_core::SurrogateKind::Exact
         );
-        match bad.surrogate() {
+        match args(fig6, &["--surrogate", "dense"]).surrogate() {
             Err(yoso_core::Error::InvalidConfig(msg)) => {
                 assert!(msg.contains("exact or sparse"), "message: {msg}");
                 assert!(msg.contains("dense"), "message: {msg}");
@@ -646,17 +717,12 @@ mod tests {
 
     #[test]
     fn args_pareto_out_is_an_optional_path() {
-        let args = Args::from_argv(
-            ["bin", "--pareto-out", "/tmp/front.csv"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-        );
+        let fig6 = usage::FIG6_SEARCH;
         assert_eq!(
-            args.pareto_out(),
+            args(fig6, &["--pareto-out", "/tmp/front.csv"]).pareto_out(),
             Some(std::path::PathBuf::from("/tmp/front.csv"))
         );
-        assert_eq!(Args::from_argv(vec!["bin".to_string()]).pareto_out(), None);
+        assert_eq!(args(fig6, &[]).pareto_out(), None);
     }
 
     #[test]

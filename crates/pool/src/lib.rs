@@ -1,6 +1,6 @@
 //! Work-sharing thread pool underpinning every parallel stage of the
 //! pipeline: exhaustive hardware sweeps, predictor sample collection,
-//! top-N reranking and the blocked GEMM kernels.
+//! batched candidate scoring and top-N reranking.
 //!
 //! # Design
 //!
@@ -41,9 +41,7 @@
 //! worker computed what. [`parallel_map_seeded`] additionally hands each
 //! item an RNG derived from `(seed, index)` alone, so results are
 //! invariant to the thread count: 1 thread and 64 threads produce
-//! byte-identical output. [`for_each_chunk_mut`] statically partitions a
-//! contiguous buffer, leaving per-element operation order untouched —
-//! the parallel GEMM built on it is bit-exact at any thread count.
+//! byte-identical output.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -539,46 +537,6 @@ where
     })
 }
 
-/// Splits `data` into contiguous chunks of `chunk_len` elements and
-/// applies `f(chunk_index, chunk)` to each, distributing chunks across
-/// workers in contiguous runs (static partitioning: uniform-cost chunks
-/// like GEMM row blocks need no stealing). Element order within a chunk
-/// is untouched, so element-wise computations are bit-exact regardless
-/// of `threads`. This is the one unsupervised primitive: it backs the
-/// inner GEMM kernels where a panic is a programming error, not a
-/// recoverable fault, and per-chunk catch/retry overhead is unwelcome.
-///
-/// # Panics
-///
-/// Panics if `chunk_len == 0`; propagates panics from `f`.
-pub fn for_each_chunk_mut<T, F>(data: &mut [T], chunk_len: usize, threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(chunk_len > 0, "chunk_len must be positive");
-    let n_chunks = data.len().div_ceil(chunk_len);
-    let threads = resolve(threads, n_chunks);
-    if threads == 1 || n_chunks <= 1 {
-        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(i, chunk);
-        }
-        return;
-    }
-    let mut chunks: Vec<(usize, &mut [T])> = data.chunks_mut(chunk_len).enumerate().collect();
-    let per_worker = n_chunks.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for group in chunks.chunks_mut(per_worker) {
-            let f = &f;
-            scope.spawn(move || {
-                for (i, chunk) in group.iter_mut() {
-                    f(*i, chunk);
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -638,19 +596,6 @@ mod tests {
         assert_ne!(derive_seed(1, 2), derive_seed(2, 2));
     }
 
-    #[test]
-    fn chunked_mutation_covers_all() {
-        let mut data: Vec<u64> = vec![0; 103];
-        for_each_chunk_mut(&mut data, 10, 4, |ci, chunk| {
-            for (j, v) in chunk.iter_mut().enumerate() {
-                *v = (ci * 10 + j) as u64 + 1;
-            }
-        });
-        for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, i as u64 + 1);
-        }
-    }
-
     // One test owns the global telemetry flag: concurrent tests in this
     // binary run maps too, so enabled-phase deltas are lower bounds and
     // the disabled phase runs while the flag is known off.
@@ -676,20 +621,6 @@ mod tests {
             s.histogram("pool.map_wall").map_or(0, |h| h.count())
         };
         assert!(walls(&after) - walls(&mid) >= 2);
-    }
-
-    #[test]
-    fn chunked_mutation_matches_serial() {
-        let mut serial: Vec<f64> = (0..97).map(|i| i as f64).collect();
-        let mut parallel: Vec<f64> = serial.clone();
-        let body = |ci: usize, chunk: &mut [f64]| {
-            for v in chunk.iter_mut() {
-                *v = v.sin() * (ci as f64 + 1.0);
-            }
-        };
-        for_each_chunk_mut(&mut serial, 8, 1, body);
-        for_each_chunk_mut(&mut parallel, 8, 5, body);
-        assert_eq!(serial, parallel);
     }
 
     #[test]

@@ -55,11 +55,15 @@ pub mod tensor;
 
 pub use conv::ConvGeom;
 pub use graph::{accuracy, batch_norm_forward, batch_norm_in_place, Graph, Var};
-pub use matmul::{
-    kernel_kind, num_threads as matmul_threads, set_kernel, set_num_threads as set_matmul_threads,
-    set_simd_tier, simd_tier, KernelKind, SimdTier,
-};
+pub use matmul::{simd_tier, SimdTier};
 pub use optim::{Adam, CosineLr, Sgd};
 pub use param::{ParamId, ParamStore};
 pub use scratch::Scratch;
 pub use tensor::Tensor;
+
+/// Always 1: every SGEMM runs on its caller's thread. It remains only
+/// because the benchmark runner (`perfbench/`) records it in its host
+/// block; it goes with the next change to that runner.
+pub fn matmul_threads() -> usize {
+    1
+}

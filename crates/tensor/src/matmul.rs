@@ -1,9 +1,10 @@
-//! Blocked SGEMM kernels: a packed, register-tiled microkernel (default)
-//! plus the original branchy reference kernel for tolerance tests.
+//! Blocked SGEMM: one packed, register-tiled kernel behind every entry
+//! point, plus [`sgemm_reference`], a plain `ikj` loop kept as the oracle
+//! that tests and the kernel bench compare against.
 //!
 //! ## Packed kernel architecture (see DESIGN.md §9)
 //!
-//! The hot path is a BLIS-style three-level blocking scheme:
+//! The kernel is a BLIS-style three-level blocking scheme:
 //!
 //! * **B packing** — for each `KC x NC` block of `b`, columns are packed
 //!   into contiguous `KC x NR` panels so the microkernel streams them
@@ -11,117 +12,42 @@
 //! * **A packing** — each `MR x KC` tile of `a` is packed column-major
 //!   (`p`-major), so one microkernel step reads `MR` consecutive floats.
 //! * **Microkernel** — an `MR x NR` register block accumulates
-//!   `kc` rank-1 updates. Three implementations sit behind a runtime
-//!   dispatch cached in a `OnceLock` ([`simd_tier`]): explicit AVX-512F
+//!   `kc` rank-1 updates. Three implementations exist: explicit AVX-512F
 //!   intrinsics (one zmm per tile row), explicit AVX2+FMA (the tile as
 //!   two 4-row halves), and a portable scalar loop the compiler
-//!   auto-vectorizes. Detection is runtime-only — no `target-cpu` build
-//!   flag is required for the fast paths.
+//!   auto-vectorizes. Every GEMM runs the strongest tier the CPU
+//!   supports ([`simd_tier`], probed once); no `target-cpu` build flag
+//!   is required for the fast paths.
 //!
-//! Packing buffers live in thread-local scratch, so steady-state GEMM
-//! calls are allocation-free.
+//! Packing buffers and the block accumulator live in thread-local
+//! scratch, so steady-state GEMM calls are allocation-free.
 //!
-//! ## Threading: a fixed task grid over `c`
+//! ## Determinism: a fixed block grid over `c`
 //!
-//! The packed path fans out over `RB`-row x `NC`-column blocks of `c`
-//! (the same `NC` split the packing loop uses). Each task accumulates
-//! its block in a private zero-initialised buffer over the *full* depth
-//! `k`, and the buffers are added into `c` afterwards. The grid never
-//! depends on the worker count and every output element is owned by
-//! exactly one task, with its `k` terms accumulated in increasing-`k`
-//! order (blocked only by the fixed `KC` boundary) — so results are
-//! **bit-exact at any thread count**, including 1. Threading is off by
-//! default ([`set_num_threads`]\(1\)) because the training workloads
-//! here multiply small panels where a fork/join per GEMM costs more than
-//! it saves; benches and large workloads opt in explicitly. The
-//! reference kernel keeps its original row-slab fan-out.
+//! `c` is cut into `RB`-row x `NC`-column blocks (the same `NC` split the
+//! packing loop uses). Each block is accumulated in a zeroed buffer over
+//! the *full* depth `k` and then added into `c`. Every output element
+//! belongs to exactly one block and takes its `k` terms in increasing-`k`
+//! order, blocked only by the fixed `KC` boundary, so a GEMM of given
+//! operands returns the same bits on every call, on any thread, and the
+//! SIMD tiers agree bitwise on exactly representable inputs. GEMMs run
+//! on their caller's thread: this workload parallelises across
+//! candidates and validation batches (`yoso_pool`), each pool item
+//! running its own GEMMs.
 
-// The internal packing/slab routines take the full block geometry as
+// The internal packing/block routines take the full block geometry as
 // scalars; bundling them into structs would only obscure the BLIS shape.
 #![allow(clippy::too_many_arguments)]
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Worker count for the packed task-grid / reference row-slab fan-out.
-/// `1` = serial (default); `0` = follow the pool-wide default
-/// ([`yoso_pool::num_threads`]).
-static MATMUL_THREADS: AtomicUsize = AtomicUsize::new(1);
+// ---------------------------------------------------------------------------
+// SIMD tier detection
+// ---------------------------------------------------------------------------
 
-/// Minimum `m * k * n` before threading is worth a fork/join.
-const PAR_MIN_FLOPS: usize = 1 << 16;
-
-/// Which SGEMM implementation the public entry points dispatch to.
+/// Instruction tier of the packed microkernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelKind {
-    /// The packed, register-tiled microkernel (default).
-    Packed,
-    /// The original branchy `ikj` loop. Kept for tolerance tests and as
-    /// the baseline the `kernels` bench measures speedups against.
-    Reference,
-}
-
-/// `0` = Packed, `1` = Reference (atomic-friendly encoding).
-static KERNEL_KIND: AtomicUsize = AtomicUsize::new(0);
-
-/// Selects the kernel implementation used by [`sgemm_acc`] and friends.
-/// Intended for benches and comparison tests; the default is
-/// [`KernelKind::Packed`].
-pub fn set_kernel(kind: KernelKind) {
-    KERNEL_KIND.store(
-        match kind {
-            KernelKind::Packed => 0,
-            KernelKind::Reference => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The currently selected kernel implementation.
-pub fn kernel_kind() -> KernelKind {
-    match KERNEL_KIND.load(Ordering::Relaxed) {
-        0 => KernelKind::Packed,
-        _ => KernelKind::Reference,
-    }
-}
-
-/// Sets the worker count for the SGEMM kernels in this module.
-///
-/// `1` (the default) keeps every kernel serial; `0` defers to the
-/// pool-wide default. Results are bit-exact at any setting.
-pub fn set_num_threads(n: usize) {
-    MATMUL_THREADS.store(n, Ordering::Relaxed);
-}
-
-/// The configured SGEMM worker count (resolving `0` to the pool default).
-pub fn num_threads() -> usize {
-    match MATMUL_THREADS.load(Ordering::Relaxed) {
-        0 => yoso_pool::num_threads(),
-        n => n,
-    }
-}
-
-/// Workers actually used by the reference kernel's row-slab fan-out:
-/// the knob, capped by rows and floored at 1, with small products kept
-/// serial. (The packed path caps by its task-grid size instead.)
-fn resolve_threads(m: usize, k: usize, n: usize) -> usize {
-    if m.saturating_mul(k).saturating_mul(n) < PAR_MIN_FLOPS {
-        return 1;
-    }
-    num_threads().clamp(1, m.max(1))
-}
-
-// ---------------------------------------------------------------------------
-// SIMD tier dispatch
-// ---------------------------------------------------------------------------
-
-/// Instruction tier the packed microkernel dispatches to at runtime.
-///
-/// Ordered from weakest to strongest; [`set_simd_tier`] treats a
-/// requested tier as a *cap*, never a promotion past what the CPU
-/// reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdTier {
     /// Portable scalar microkernel (the compiler may still
     /// auto-vectorize it when built with target features enabled).
@@ -144,69 +70,32 @@ impl std::fmt::Display for SimdTier {
     }
 }
 
-/// Forced tier cap: `0` = auto (detected), otherwise `1 + tier rank`.
-/// A cap can only select *below* detection; forcing above it would be
-/// unsound.
-static SIMD_FORCE: AtomicUsize = AtomicUsize::new(0);
-
-/// The best tier this CPU supports, probed once.
-static SIMD_DETECTED: OnceLock<SimdTier> = OnceLock::new();
-
-fn tier_rank(tier: SimdTier) -> usize {
+/// Whether this CPU (and build) can run `tier`'s microkernel.
+fn tier_supported(tier: SimdTier) -> bool {
     match tier {
-        SimdTier::Scalar => 0,
-        SimdTier::Avx2Fma => 1,
-        SimdTier::Avx512 => 2,
-    }
-}
-
-fn tier_from_rank(rank: usize) -> SimdTier {
-    match rank {
-        0 => SimdTier::Scalar,
-        1 => SimdTier::Avx2Fma,
-        _ => SimdTier::Avx512,
-    }
-}
-
-fn detect_simd_tier() -> SimdTier {
-    #[cfg(all(target_arch = "x86_64", not(yoso_force_scalar)))]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return SimdTier::Avx512;
+        SimdTier::Scalar => true,
+        #[cfg(all(target_arch = "x86_64", not(yoso_force_scalar)))]
+        SimdTier::Avx2Fma => {
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
         }
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            return SimdTier::Avx2Fma;
-        }
+        #[cfg(all(target_arch = "x86_64", not(yoso_force_scalar)))]
+        SimdTier::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+        #[cfg(not(all(target_arch = "x86_64", not(yoso_force_scalar))))]
+        _ => false,
     }
-    SimdTier::Scalar
 }
 
-/// Caps the microkernel tier. `Some(Scalar)` forces the portable kernel
-/// (benches use this as the comparison baseline; tests use it to pin
-/// SIMD/scalar agreement); `Some(Avx2Fma)` runs the 256-bit kernel even
-/// on AVX-512 hardware; `None` restores runtime detection. Requests are
-/// clamped to what the CPU supports, so capping at a tier the machine
-/// lacks still runs the best available one below it.
-pub fn set_simd_tier(tier: Option<SimdTier>) {
-    SIMD_FORCE.store(
-        match tier {
-            None => 0,
-            Some(t) => 1 + tier_rank(t),
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The microkernel tier the next GEMM will use: the detected best tier
-/// (cached after the first probe), lowered to the [`set_simd_tier`] cap
-/// when one is set.
+/// The microkernel tier every GEMM runs: the strongest tier this CPU
+/// supports, probed once.
 pub fn simd_tier() -> SimdTier {
-    let detected = *SIMD_DETECTED.get_or_init(detect_simd_tier);
-    match SIMD_FORCE.load(Ordering::Relaxed) {
-        0 => detected,
-        cap => tier_from_rank((cap - 1).min(tier_rank(detected))),
-    }
+    static DETECTED: OnceLock<SimdTier> = OnceLock::new();
+    *DETECTED.get_or_init(|| {
+        [SimdTier::Avx512, SimdTier::Avx2Fma]
+            .into_iter()
+            .find(|&tier| tier_supported(tier))
+            .unwrap_or(SimdTier::Scalar)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -222,14 +111,14 @@ pub const MR: usize = 8;
 /// Microkernel tile width (columns of `c` held in registers).
 pub const NR: usize = 16;
 /// Depth blocking: `KC x NR` B panels stay cache-resident while every
-/// row tile of the current task visits them.
+/// row tile of the current block visits them.
 const KC: usize = 128;
 /// Column blocking: B is packed (or walked) `NC` columns at a time, and
-/// the task grid splits `c` on the same boundary.
+/// the block grid splits `c` on the same boundary.
 const NC: usize = 256;
-/// Rows of `c` per parallel task (a few `MR` tiles). Together with the
-/// `NC` column split this fixes the task grid independently of the
-/// worker count.
+/// Rows of `c` per block (a few `MR` tiles). Together with the `NC`
+/// column split this fixes the block grid, and with it every element's
+/// accumulation order.
 const RB: usize = 64;
 
 thread_local! {
@@ -237,8 +126,7 @@ thread_local! {
     /// GEMM call on this thread, so steady state allocates nothing.
     static PACK_SCRATCH: RefCell<(Vec<f32>, Vec<f32>)> =
         const { RefCell::new((Vec::new(), Vec::new())) };
-    /// Per-thread task-local accumulation buffer for the serial path
-    /// (parallel tasks allocate their own, amortized by larger work).
+    /// Per-thread block accumulator, zeroed for each block.
     static C_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -327,9 +215,10 @@ fn microkernel(
     b_stride: usize,
     acc: &mut [[f32; NR]; MR],
 ) {
-    // Sound: a SIMD `tier` only reaches here when runtime detection
-    // confirmed the features (set_simd_tier can cap but never promote),
-    // and the packing loops guarantee the slice-length contract.
+    // SAFETY: `sgemm_packed` asserts that the CPU supports `tier` and
+    // that the operands hold their `m x k` and `k x n` values, and the
+    // packing loops hand every tile a slice that meets the kernels'
+    // length contract within them.
     match tier {
         #[cfg(all(target_arch = "x86_64", not(yoso_force_scalar)))]
         SimdTier::Avx512 => {
@@ -461,22 +350,23 @@ fn writeback(
     }
 }
 
-/// One cell of the packed path's task grid: the block of `c` it owns.
+/// One cell of the packed path's block grid: rows `i0..i1` and columns
+/// `j0..j1` of `c`.
 #[derive(Clone, Copy)]
-struct TaskBounds {
+struct Block {
     i0: usize,
     i1: usize,
     j0: usize,
     j1: usize,
 }
 
-/// Computes one task's block into `out` (zero-initialised,
+/// Computes one block into `out` (zero-initialised,
 /// `(i1-i0) x (j1-j0)` row-major): `out += op(a)[i0..i1, :] * op(b)[:, j0..j1]`
 /// over the full depth `k`. Returns `(b_panels_packed, b_panel_reuses)`
 /// for the trace counters.
-fn packed_task(
+fn packed_block(
     tier: SimdTier,
-    tb: TaskBounds,
+    tb: Block,
     k: usize,
     n: usize,
     a: &[f32],
@@ -486,7 +376,7 @@ fn packed_task(
     b_layout: Layout,
     out: &mut [f32],
 ) -> (u64, u64) {
-    let TaskBounds { i0, i1, j0, j1 } = tb;
+    let Block { i0, i1, j0, j1 } = tb;
     let cols = j1 - j0;
     let (mut packed, mut reused) = (0u64, 0u64);
     PACK_SCRATCH.with(|scratch| {
@@ -570,9 +460,9 @@ fn packed_task(
     (packed, reused)
 }
 
-/// Adds a task's local block back into `c` (disjoint per task, so the
+/// Adds a block's accumulator into `c` (blocks are disjoint, so the
 /// combine order cannot affect the result).
-fn add_block(c: &mut [f32], n: usize, tb: TaskBounds, block: &[f32]) {
+fn add_block(c: &mut [f32], n: usize, tb: Block, block: &[f32]) {
     let cols = tb.j1 - tb.j0;
     for (r, row) in block.chunks_exact(cols).enumerate() {
         let crow = &mut c[(tb.i0 + r) * n + tb.j0..(tb.i0 + r) * n + tb.j1];
@@ -582,11 +472,11 @@ fn add_block(c: &mut [f32], n: usize, tb: TaskBounds, block: &[f32]) {
     }
 }
 
-/// The packed path: `c += op(a) * op(b)` over the fixed task grid, fanned
-/// out over [`yoso_pool::parallel_map`] when threading is enabled and the
-/// product is big enough. See the module docs for the bit-exactness
+/// The packed path: `c += op(a) * op(b)` over the fixed block grid, with
+/// the microkernel at `tier`. See the module docs for the bit-exactness
 /// argument.
 fn sgemm_packed(
+    tier: SimdTier,
     m: usize,
     k: usize,
     n: usize,
@@ -596,54 +486,39 @@ fn sgemm_packed(
     b_layout: Layout,
     c: &mut [f32],
 ) {
+    // The SIMD microkernels read through raw pointers: both checks hold
+    // their memory safety, so they stay on in release builds.
+    assert!(
+        tier_supported(tier),
+        "{tier} microkernel on a CPU without it"
+    );
+    assert!(
+        a.len() >= m * k && b.len() >= k * n && c.len() >= m * n,
+        "sgemm operands too short for {m}x{k}x{n}"
+    );
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let tier = simd_tier();
-    let col_blocks = n.div_ceil(NC);
-    let row_blocks = m.div_ceil(RB);
-    let tasks = row_blocks * col_blocks;
-    let threads = if m.saturating_mul(k).saturating_mul(n) < PAR_MIN_FLOPS {
-        1
-    } else {
-        num_threads().clamp(1, tasks)
-    };
-    let bounds = |t: usize| {
-        let (bi, bj) = (t / col_blocks, t % col_blocks);
-        TaskBounds {
-            i0: bi * RB,
-            i1: (bi * RB + RB).min(m),
-            j0: bj * NC,
-            j1: (bj * NC + NC).min(n),
-        }
-    };
     let (mut packed, mut reused) = (0u64, 0u64);
-    if threads <= 1 {
-        C_SCRATCH.with(|scratch| {
-            let out = &mut *scratch.borrow_mut();
-            for t in 0..tasks {
-                let tb = bounds(t);
+    C_SCRATCH.with(|scratch| {
+        let out = &mut *scratch.borrow_mut();
+        for i0 in (0..m).step_by(RB) {
+            for j0 in (0..n).step_by(NC) {
+                let tb = Block {
+                    i0,
+                    i1: (i0 + RB).min(m),
+                    j0,
+                    j1: (j0 + NC).min(n),
+                };
                 out.clear();
                 out.resize((tb.i1 - tb.i0) * (tb.j1 - tb.j0), 0.0);
-                let (p, r) = packed_task(tier, tb, k, n, a, a_layout, m, b, b_layout, out);
+                let (p, r) = packed_block(tier, tb, k, n, a, a_layout, m, b, b_layout, out);
                 add_block(c, n, tb, out);
                 packed += p;
                 reused += r;
             }
-        });
-    } else {
-        let results = yoso_pool::parallel_map(tasks, threads, |t| {
-            let tb = bounds(t);
-            let mut out = vec![0.0f32; (tb.i1 - tb.i0) * (tb.j1 - tb.j0)];
-            let counters = packed_task(tier, tb, k, n, a, a_layout, m, b, b_layout, &mut out);
-            (out, counters)
-        });
-        for (t, (out, (p, r))) in results.into_iter().enumerate() {
-            add_block(c, n, bounds(t), &out);
-            packed += p;
-            reused += r;
         }
-    }
+    });
     if yoso_trace::enabled() {
         yoso_trace::counter_add("matmul.b_panels_packed", packed);
         yoso_trace::counter_add("matmul.b_panel_reuses", reused);
@@ -665,24 +540,23 @@ pub fn sgemm_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f3
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
-    if kernel_kind() == KernelKind::Packed {
-        return sgemm_packed(m, k, n, a, Layout::Normal, b, Layout::Normal, c);
-    }
-    let threads = resolve_threads(m, k, n);
-    if threads <= 1 {
-        return sgemm_reference(m, k, n, a, b, c);
-    }
-    let rows_per = m.div_ceil(threads);
-    yoso_pool::for_each_chunk_mut(c, rows_per * n, threads, |ci, c_slab| {
-        let r0 = ci * rows_per;
-        let rows = c_slab.len() / n;
-        sgemm_reference(rows, k, n, &a[r0 * k..(r0 + rows) * k], b, c_slab);
-    });
+    sgemm_packed(
+        simd_tier(),
+        m,
+        k,
+        n,
+        a,
+        Layout::Normal,
+        b,
+        Layout::Normal,
+        c,
+    );
 }
 
-/// The original serial kernel (`c += a * b`): a `KB`-blocked `ikj` loop
-/// with a data-dependent zero skip. Retained as the comparison baseline
-/// for tolerance tests and the `kernels` bench.
+/// The oracle kernel (`c += a * b`): a `KB`-blocked `ikj` loop with a
+/// data-dependent zero skip, independent of the packed kernel's blocking
+/// and microkernels. Tests and the `bench_kernels` GEMM gate compare the
+/// packed kernel against it.
 pub fn sgemm_reference(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     // Block over k to keep the b panel in cache for consecutive rows of a.
     const KB: usize = 64;
@@ -721,49 +595,17 @@ pub fn sgemm_at_b_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mu
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
-    if kernel_kind() == KernelKind::Packed {
-        return sgemm_packed(m, k, n, a, Layout::Transposed, b, Layout::Normal, c);
-    }
-    let threads = resolve_threads(m, k, n);
-    if threads <= 1 {
-        return sgemm_at_b_reference_slab(0, m, k, n, a, b, c);
-    }
-    let rows_per = m.div_ceil(threads);
-    yoso_pool::for_each_chunk_mut(c, rows_per * n, threads, |ci, c_slab| {
-        sgemm_at_b_reference_slab(ci * rows_per, m, k, n, a, b, c_slab);
-    });
-}
-
-/// Reference `a^T * b` kernel for the `c_slab.len() / n` rows of `c`
-/// starting at row `r0` (`a` stays the full `k x m` matrix; `c_slab`
-/// holds just those rows).
-fn sgemm_at_b_reference_slab(
-    r0: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c_slab: &mut [f32],
-) {
-    if n == 0 {
-        return;
-    }
-    let rows = c_slab.len() / n;
-    for kk in 0..k {
-        let arow = &a[kk * m..(kk + 1) * m];
-        let brow = &b[kk * n..(kk + 1) * n];
-        for i in 0..rows {
-            let aik = arow[r0 + i];
-            if aik == 0.0 {
-                continue;
-            }
-            let crow = &mut c_slab[i * n..(i + 1) * n];
-            for (cv, bv) in crow.iter_mut().zip(brow.iter()) {
-                *cv += aik * bv;
-            }
-        }
-    }
+    sgemm_packed(
+        simd_tier(),
+        m,
+        k,
+        n,
+        a,
+        Layout::Transposed,
+        b,
+        Layout::Normal,
+        c,
+    );
 }
 
 /// Computes `c += a * b^T` where `a` is `m x k`, `b` is `n x k`
@@ -772,40 +614,25 @@ pub fn sgemm_a_bt_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mu
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(c.len(), m * n);
-    if kernel_kind() == KernelKind::Packed {
-        return sgemm_packed(m, k, n, a, Layout::Normal, b, Layout::Transposed, c);
-    }
-    let threads = resolve_threads(m, k, n);
-    if threads <= 1 {
-        return sgemm_a_bt_reference_slab(m, k, n, a, b, c);
-    }
-    let rows_per = m.div_ceil(threads);
-    yoso_pool::for_each_chunk_mut(c, rows_per * n, threads, |ci, c_slab| {
-        let r0 = ci * rows_per;
-        let rows = c_slab.len() / n;
-        sgemm_a_bt_reference_slab(rows, k, n, &a[r0 * k..(r0 + rows) * k], b, c_slab);
-    });
-}
-
-/// Reference `a * b^T` kernel over a contiguous slab of `m` rows.
-fn sgemm_a_bt_reference_slab(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n..(i + 1) * n];
-        for j in 0..n {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0;
-            for (av, bv) in arow.iter().zip(brow.iter()) {
-                acc += av * bv;
-            }
-            crow[j] += acc;
-        }
-    }
+    sgemm_packed(
+        simd_tier(),
+        m,
+        k,
+        n,
+        a,
+        Layout::Normal,
+        b,
+        Layout::Transposed,
+        c,
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn naive(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
         let mut c = vec![0.0; m * n];
@@ -896,153 +723,120 @@ mod tests {
             let mut c_ref = vec![0.25; m * n];
             sgemm_reference(m, k, n, &a, &b, &mut c_ref);
             let mut c_packed = vec![0.25; m * n];
-            set_kernel(KernelKind::Packed);
             sgemm_acc(m, k, n, &a, &b, &mut c_packed);
             assert_eq!(c_packed, c_ref, "({m},{k},{n})");
         }
     }
 
-    /// Every SIMD tier this machine can run (detected best, AVX2 cap,
-    /// forced scalar) produces identical bits on exact-representable
-    /// inputs, across all three operand layouts. (On machines without
-    /// the features, capped runs clamp to the same lower tier and the
-    /// comparison is trivially true.)
-    /// Serializes tests that mutate the process-wide SIMD force cap:
-    /// unlike the kernel/thread knobs (where every setting yields
-    /// identical bits on these inputs), `simd_tier_cap_clamps_to_detected`
-    /// asserts on the cap state itself.
-    static SIMD_FORCE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn simd_and_scalar_tiers_agree_on_exact_inputs() {
-        let _guard = SIMD_FORCE_LOCK.lock().unwrap();
-        let (m, k, n) = (23, 150, 70);
-        let a = seq(m * k);
-        let b = seq(k * n);
-        let a_km = seq(k * m);
-        let b_nk = seq(n * k);
-        let run = |tier: Option<SimdTier>| {
-            set_simd_tier(tier);
-            let mut c1 = vec![0.5; m * n];
-            sgemm_acc(m, k, n, &a, &b, &mut c1);
-            let mut c2 = vec![0.5; m * n];
-            sgemm_at_b_acc(m, k, n, &a_km, &b, &mut c2);
-            let mut c3 = vec![0.5; m * n];
-            sgemm_a_bt_acc(m, k, n, &a, &b_nk, &mut c3);
-            set_simd_tier(None);
-            (c1, c2, c3)
-        };
-        let auto = run(None);
-        assert_eq!(run(Some(SimdTier::Scalar)), auto, "scalar vs auto");
-        assert_eq!(run(Some(SimdTier::Avx2Fma)), auto, "avx2 cap vs auto");
+    /// Small-integer matrices: every product and partial sum is exactly
+    /// representable in f32, so FMA contraction and any summation
+    /// grouping are exact, and two kernels can differ only by a bug.
+    fn integer_vec(len: usize, rng: &mut StdRng) -> Vec<f32> {
+        (0..len)
+            .map(|_| rng.random_range(-8i32..=8) as f32)
+            .collect()
     }
 
-    /// A forced cap selects below detection and never above it.
-    #[test]
-    fn simd_tier_cap_clamps_to_detected() {
-        let _guard = SIMD_FORCE_LOCK.lock().unwrap();
-        let detected = {
-            set_simd_tier(None);
-            simd_tier()
-        };
-        set_simd_tier(Some(SimdTier::Scalar));
-        assert_eq!(simd_tier(), SimdTier::Scalar);
-        set_simd_tier(Some(SimdTier::Avx512));
-        assert_eq!(simd_tier(), detected, "cap above detection clamps down");
-        set_simd_tier(None);
-        assert_eq!(simd_tier(), detected);
+    fn random_vec(len: usize, rng: &mut StdRng) -> Vec<f32> {
+        (0..len).map(|_| rng.random_range(-1.0..1.0)).collect()
     }
 
-    /// All kernels, at sizes past the serial cutoff, produce
-    /// bit-identical output at 1, 2, 3 and 8 workers: every output
-    /// element is owned by exactly one task of a thread-count-independent
-    /// grid and accumulates its terms in the serial order.
-    #[test]
-    fn parallel_sgemm_bit_exact_across_thread_counts() {
-        let (m, k, n) = (37, 48, 50); // m*k*n > PAR_MIN_FLOPS, m not divisible
-        assert!(m * k * n >= PAR_MIN_FLOPS);
-        let a = seq(m * k);
-        let b = seq(k * n);
-        let a_km = seq(k * m);
-        let b_nk = seq(n * k);
-        let run = |threads: usize| {
-            set_num_threads(threads);
-            let mut c1 = vec![0.5; m * n];
-            sgemm_acc(m, k, n, &a, &b, &mut c1);
-            let mut c2 = vec![0.5; m * n];
-            sgemm_at_b_acc(m, k, n, &a_km, &b, &mut c2);
-            let mut c3 = vec![0.5; m * n];
-            sgemm_a_bt_acc(m, k, n, &a, &b_nk, &mut c3);
-            (c1, c2, c3)
-        };
-        let serial = run(1);
-        for t in [2, 3, 8] {
-            assert_eq!(run(t), serial, "threads={t}");
-        }
-        set_num_threads(1);
-    }
-
-    /// Thread-count invariance on a shape whose task grid really has
-    /// multiple cells in both dimensions (`m > RB`, `n > NC`), so the
-    /// parallel path genuinely fans out over row and column blocks.
-    #[test]
-    fn nc_panel_grid_bit_exact_across_thread_counts() {
-        let (m, k, n) = (70, 40, 600); // 2 row blocks x 3 column blocks
-        assert!(m > RB && n > 2 * NC && m * k * n >= PAR_MIN_FLOPS);
-        let a = seq(m * k);
-        let b = seq(k * n);
-        let a_km = seq(k * m);
-        let b_nk = seq(n * k);
-        let run = |threads: usize| {
-            set_num_threads(threads);
-            let mut c1 = vec![0.5; m * n];
-            sgemm_acc(m, k, n, &a, &b, &mut c1);
-            let mut c2 = vec![0.5; m * n];
-            sgemm_at_b_acc(m, k, n, &a_km, &b, &mut c2);
-            let mut c3 = vec![0.5; m * n];
-            sgemm_a_bt_acc(m, k, n, &a, &b_nk, &mut c3);
-            (c1, c2, c3)
-        };
-        let serial = run(1);
-        for t in [2, 4, 8] {
-            assert_eq!(run(t), serial, "threads={t}");
-        }
-        set_num_threads(1);
-    }
-
-    /// Kernel selection dispatches all three entry points.
-    #[test]
-    fn reference_kernel_selectable() {
-        let (m, k, n) = (5, 9, 6);
-        let a = seq(m * k);
-        let b = seq(k * n);
-        set_kernel(KernelKind::Reference);
-        assert_eq!(kernel_kind(), KernelKind::Reference);
-        let mut c = vec![0.0; m * n];
-        sgemm(m, k, n, &a, &b, &mut c);
-        set_kernel(KernelKind::Packed);
-        assert_eq!(kernel_kind(), KernelKind::Packed);
-        assert_eq!(c, naive(m, k, n, &a, &b));
-    }
-
-    /// Same bit-exactness property for the reference kernel dispatch.
-    #[test]
-    fn parallel_reference_bit_exact_across_thread_counts() {
-        let (m, k, n) = (37, 48, 50);
-        let a = seq(m * k);
-        let b = seq(k * n);
-        set_kernel(KernelKind::Reference);
-        let run = |threads: usize| {
-            set_num_threads(threads);
-            let mut c = vec![0.5; m * n];
-            sgemm_acc(m, k, n, &a, &b, &mut c);
+    /// `0.5 + op(a) * op(b)` at `tier` for the three operand layouts the
+    /// entry points use: `a * b`, `a^T * b` and `a * b^T`. `a` and `b`
+    /// hold `m * k` and `k * n` values, read in each layout's storage
+    /// order.
+    fn all_layouts(
+        tier: SimdTier,
+        (m, k, n): (usize, usize, usize),
+        a: &[f32],
+        b: &[f32],
+    ) -> [Vec<f32>; 3] {
+        let layouts = [
+            (Layout::Normal, Layout::Normal),
+            (Layout::Transposed, Layout::Normal),
+            (Layout::Normal, Layout::Transposed),
+        ];
+        layouts.map(|(a_layout, b_layout)| {
+            let mut c = vec![0.5f32; m * n];
+            sgemm_packed(tier, m, k, n, a, a_layout, b, b_layout, &mut c);
             c
-        };
-        let serial = run(1);
-        for t in [2, 4] {
-            assert_eq!(run(t), serial, "threads={t}");
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every SIMD tier this CPU supports computes the same bits as
+        /// the scalar microkernel on exactly representable inputs, in
+        /// all three layouts, across shapes straddling the MR=8 / NR=16 /
+        /// KC=128 tile edges.
+        #[test]
+        fn simd_tiers_match_scalar_bitwise_on_integer_inputs(
+            seed in 0u64..1000,
+            m in 1usize..24,
+            k in 1usize..150,
+            n in 1usize..40,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a = integer_vec(m * k, &mut rng);
+            let b = integer_vec(k * n, &mut rng);
+            let scalar = all_layouts(SimdTier::Scalar, (m, k, n), &a, &b);
+            for tier in [SimdTier::Avx2Fma, SimdTier::Avx512] {
+                if !tier_supported(tier) {
+                    continue;
+                }
+                let simd = all_layouts(tier, (m, k, n), &a, &b);
+                for (layout, (x, y)) in simd.iter().zip(&scalar).enumerate() {
+                    let first = x.iter().zip(y).position(|(p, q)| p.to_bits() != q.to_bits());
+                    prop_assert!(
+                        first.is_none(),
+                        "{} vs scalar, layout {}: first differing element {:?}", tier, layout, first
+                    );
+                }
+            }
         }
-        set_num_threads(1);
-        set_kernel(KernelKind::Packed);
+    }
+
+    /// A short operand panics before any microkernel reads past it.
+    #[test]
+    #[should_panic(expected = "sgemm operands too short for 1x2x16")]
+    fn short_operand_panics_instead_of_reading_past_it() {
+        let mut c = [0.0f32; 16];
+        let (a, b) = ([1.0f32; 2], [1.0f32; 16]);
+        sgemm_packed(
+            simd_tier(),
+            1,
+            2,
+            16,
+            &a,
+            Layout::Normal,
+            &b,
+            Layout::Normal,
+            &mut c,
+        );
+    }
+
+    /// A GEMM's bits depend on its operands alone: not on the thread it
+    /// runs on, nor on what earlier GEMMs left in that thread's scratch.
+    /// Arbitrary floats, on a shape with several row and column blocks.
+    #[test]
+    fn results_do_not_depend_on_thread_or_scratch_history() {
+        let dims = (RB + 6, KC + 12, NC + 44);
+        let (m, k, n) = dims;
+        let mut rng = StdRng::seed_from_u64(7);
+        let a = random_vec(m * k, &mut rng);
+        let b = random_vec(k * n, &mut rng);
+        let fresh = std::thread::scope(|s| {
+            s.spawn(|| all_layouts(simd_tier(), dims, &a, &b))
+                .join()
+                .unwrap()
+        });
+        // Leave larger blocks in this thread's scratch first.
+        let (big_a, big_b) = (
+            random_vec(200 * 300, &mut rng),
+            random_vec(300 * 600, &mut rng),
+        );
+        all_layouts(simd_tier(), (200, 300, 600), &big_a, &big_b);
+        assert_eq!(all_layouts(simd_tier(), dims, &a, &b), fresh);
     }
 }

@@ -1,7 +1,7 @@
 //! Explicit x86-64 SIMD microkernels behind runtime feature detection.
 //!
 //! Everything here is selected at runtime (`is_x86_feature_detected!`,
-//! cached by the dispatcher in [`crate::matmul`]), never at compile
+//! probed once by [`crate::matmul::simd_tier`]), never at compile
 //! time, so a generic build still runs the fast path on capable
 //! hardware. The whole module is compiled out on non-x86-64 targets and
 //! under `--cfg yoso_force_scalar` (the portable CI leg); callers fall

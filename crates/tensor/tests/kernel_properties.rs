@@ -3,9 +3,7 @@
 //! relative tolerance on arbitrary float inputs and shapes, including
 //! the transposed-operand entry points the conv backward pass uses.
 //!
-//! The oracle is `sgemm_reference` called directly (not via the global
-//! kernel selector), so these tests never mutate process-global state
-//! and cannot race with each other.
+//! The oracle is `sgemm_reference`, called directly.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;

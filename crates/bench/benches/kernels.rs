@@ -1,6 +1,6 @@
 //! Compute-kernel microbenchmarks: packed vs reference SGEMM on real
 //! im2col panel shapes, conv2d forward/backward layers, and GP
-//! fit/append/predict at search-realistic training-set sizes.
+//! fit/predict at search-realistic training-set sizes.
 //!
 //! The checked-in speedup snapshot comes from the `bench_kernels` binary
 //! (`BENCH_kernels.json`); this harness is for profiling regressions on
@@ -98,24 +98,11 @@ fn bench_gp(c: &mut Criterion) {
                 black_box(gp.train_len())
             })
         });
-        // One chunk-of-50 append onto an (n-50)-point factor.
-        let mut base = GaussianProcess::with_hyperparams(2.0, 1e-2).with_max_train(n);
-        base.fit(&xs[..n - 50], &ys[..n - 50]).expect("fit");
-        group.bench_function(format!("append50/n{n}"), |b| {
-            b.iter(|| {
-                let mut gp = base.clone();
-                gp.append(&xs[n - 50..], &ys[n - 50..]).expect("append");
-                black_box(gp.train_len())
-            })
-        });
         let mut fitted = GaussianProcess::with_hyperparams(2.0, 1e-2).with_max_train(n);
         fitted.fit(&xs, &ys).expect("fit");
         let (queries, _) = gp_data(64, 16, 3);
         group.bench_function(format!("predict_batch64/n{n}"), |b| {
             b.iter(|| black_box(fitted.predict_batch(&queries)))
-        });
-        group.bench_function(format!("predict_batch64_variance/n{n}"), |b| {
-            b.iter(|| black_box(fitted.predict_batch_with_variance(&queries)))
         });
     }
     group.finish();

@@ -14,8 +14,6 @@
 //! Usage: `cargo run --release -p yoso-bench --bin ablations -- [flags]`,
 //! with the flags of [`yoso_bench::usage::ABLATIONS`].
 //!
-//! `--surrogate sparse` runs ablation 3's budget curve on the
-//! inducing-point sparse GP backend instead of the exact one;
 //! `--pareto-out` writes the non-dominated archive of the last search
 //! ablation run (2 or 4) to the given CSV path.
 
@@ -58,7 +56,7 @@ fn real_main() -> Result<(), Error> {
         last_outcome = Some(ablation_reward_form()?);
     }
     if wants(&which, '3') {
-        ablation_gp_budget(args.surrogate()?)?;
+        ablation_gp_budget()?;
     }
     if wants(&which, '4') {
         last_outcome = Some(ablation_rl_seeds()?);
@@ -175,17 +173,16 @@ fn ablation_reward_form() -> Result<yoso_core::SearchOutcome, Error> {
     Ok(last.expect("at least one form ran"))
 }
 
-/// 3. GP predictor error vs training-sample budget, on the surrogate
-///    backend picked by `--surrogate`.
-fn ablation_gp_budget(surrogate: yoso_core::SurrogateKind) -> Result<(), Error> {
-    println!("=== Ablation 3: {surrogate} GP error vs training-set size ===");
+/// 3. GP predictor error vs training-sample budget.
+fn ablation_gp_budget() -> Result<(), Error> {
+    println!("=== Ablation 3: GP error vs training-set size ===");
     let sk = NetworkSkeleton::paper_default();
     let sim = Simulator::exact();
     let test = collect_samples(&sk, &sim, 200, 999);
     let mut table = Table::new(&["samples", "latency MAPE%", "energy MAPE%"]);
     for n in [50usize, 100, 200, 400, 800] {
         let train = collect_samples(&sk, &sim, n, 7);
-        let pred = PerfPredictor::train_with(&sk, &train, surrogate)?;
+        let pred = PerfPredictor::train(&sk, &train)?;
         let mut pl = Vec::new();
         let mut pe = Vec::new();
         let mut tl = Vec::new();

@@ -14,11 +14,9 @@
 //! Usage: `cargo run --release -p yoso-bench --bin fig6_search --
 //! [flags]`, with the flags of [`yoso_bench::usage::FIG6_SEARCH`].
 //!
-//! `--surrogate sparse` swaps the fast evaluator's performance GPs for
-//! the inducing-point sparse approximation (only meaningful with
-//! `--fast-evaluator`). `--pareto-out` writes the last search's
-//! non-dominated archive — accuracy/latency/energy plus the derived
-//! power and area proxies — to the given CSV path.
+//! `--pareto-out` writes the last search's non-dominated archive —
+//! accuracy/latency/energy plus the derived power and area proxies — to
+//! the given CSV path.
 //!
 //! With `--trace-out` every search emits one `search_iter` JSONL event
 //! per candidate plus start/summary and subsystem events; the run ends
@@ -42,8 +40,7 @@ fn build_evaluator(
     seed: u64,
 ) -> Result<Box<dyn Evaluator>, Error> {
     if args.present("--fast-evaluator") {
-        let surrogate = args.surrogate()?;
-        println!("building fast evaluator (HyperNet + {surrogate} GP) ...");
+        println!("building fast evaluator (HyperNet + GP) ...");
         let data = SynthCifar::generate(&SynthCifarConfig::small());
         let cfg = HyperTrainConfig {
             epochs: args.usize("--hyper-epochs", 6),
@@ -51,11 +48,10 @@ fn build_evaluator(
             seed,
             ..Default::default()
         };
-        Ok(Box::new(FastEvaluator::build_with_surrogate(
-            skeleton, &data, &cfg, 400, seed, surrogate,
+        Ok(Box::new(FastEvaluator::build(
+            skeleton, &data, &cfg, 400, seed,
         )?))
     } else {
-        args.surrogate()?; // surface a typed error for bad values even here
         Ok(Box::new(SurrogateEvaluator::new(skeleton.clone())))
     }
 }

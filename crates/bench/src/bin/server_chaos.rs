@@ -123,52 +123,70 @@ fn serve_mode(args: &Args) -> Result<(), Error> {
     Ok(())
 }
 
-/// Spawns this binary as a `--serve` child and parses the address it
-/// bound. Returns the child and the address.
-fn spawn_daemon(extra: &[String]) -> Result<(Child, SocketAddr), Error> {
-    let exe =
-        std::env::current_exe().map_err(|e| Error::InvalidConfig(format!("current_exe: {e}")))?;
-    let mut child = Command::new(exe)
-        .arg("--serve")
-        .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .map_err(|e| Error::InvalidConfig(format!("spawn daemon: {e}")))?;
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut lines = std::io::BufReader::new(stdout).lines();
-    for line in &mut lines {
-        let line = line.map_err(|e| Error::InvalidConfig(format!("daemon stdout: {e}")))?;
-        if let Some(addr) = line.strip_prefix("listening on ") {
-            let addr = addr
-                .trim()
-                .parse()
-                .map_err(|e| Error::InvalidConfig(format!("daemon addr {addr}: {e}")))?;
-            // Keep draining stdout so the child never blocks on a full
-            // pipe.
-            std::thread::spawn(move || for _ in lines {});
-            return Ok((child, addr));
-        }
+/// A child process that is killed and reaped when dropped.
+struct KillOnDrop(Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
     }
-    let _ = child.kill();
-    Err(Error::InvalidConfig(
-        "daemon exited before printing its address".into(),
-    ))
 }
 
-fn stop_daemon(mut child: Child, addr: SocketAddr) {
-    if let Ok(mut c) = Client::connect(addr) {
-        let _ = c.shutdown_server();
+/// A `--serve` child daemon. Dropping it kills and reaps the child, so
+/// no return path of the drill leaves a daemon running;
+/// [`stop`](Daemon::stop) is the graceful path.
+struct Daemon {
+    child: KillOnDrop,
+    addr: SocketAddr,
+}
+
+impl Daemon {
+    /// Spawns this binary as a `--serve` child and parses the address it
+    /// bound.
+    fn spawn(extra: &[String]) -> Result<Daemon, Error> {
+        let exe = std::env::current_exe()
+            .map_err(|e| Error::InvalidConfig(format!("current_exe: {e}")))?;
+        let mut child = KillOnDrop(
+            Command::new(exe)
+                .arg("--serve")
+                .args(extra)
+                .stdout(Stdio::piped())
+                .stderr(Stdio::null())
+                .spawn()
+                .map_err(|e| Error::InvalidConfig(format!("spawn daemon: {e}")))?,
+        );
+        let stdout = child.0.stdout.take().expect("piped stdout");
+        let mut lines = std::io::BufReader::new(stdout).lines();
+        for line in &mut lines {
+            let line = line.map_err(|e| Error::InvalidConfig(format!("daemon stdout: {e}")))?;
+            if let Some(addr) = line.strip_prefix("listening on ") {
+                let addr = addr
+                    .trim()
+                    .parse()
+                    .map_err(|e| Error::InvalidConfig(format!("daemon addr {addr}: {e}")))?;
+                // Keep draining stdout so the child never blocks on a full
+                // pipe.
+                std::thread::spawn(move || for _ in lines {});
+                return Ok(Daemon { child, addr });
+            }
+        }
+        Err(Error::InvalidConfig(
+            "daemon exited before printing its address".into(),
+        ))
     }
-    let deadline = Instant::now() + Duration::from_secs(15);
-    loop {
-        match child.try_wait() {
-            Ok(Some(_)) => return,
-            Ok(None) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(50)),
-            _ => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return;
+
+    /// Asks the daemon to shut down over the wire and waits up to 15 s
+    /// for it to exit; dropping the guard kills it if it has not.
+    fn stop(mut self) {
+        if let Ok(mut c) = Client::connect(self.addr) {
+            let _ = c.shutdown_server();
+        }
+        let deadline = Instant::now() + Duration::from_secs(15);
+        while Instant::now() < deadline {
+            match self.child.0.try_wait() {
+                Ok(None) => std::thread::sleep(Duration::from_millis(50)),
+                _ => return,
             }
         }
     }
@@ -304,17 +322,17 @@ fn real_main(args: &Args) -> Result<(), Error> {
     let plan_path = scratch.join("net_faults.plan");
     plan.save(&plan_path)
         .map_err(|e| Error::InvalidConfig(format!("write plan: {e}")))?;
-    let (child, addr) = spawn_daemon(&[
+    let daemon = Daemon::spawn(&[
         "--chaos-plan".into(),
         plan_path.display().to_string(),
         "--max-jobs".into(),
         "4".into(),
     ])?;
     let soak_start = Instant::now();
-    let soak = drive_fleet(addr, &soak_specs)?;
+    let soak = drive_fleet(daemon.addr, &soak_specs)?;
     let soak_s = soak_start.elapsed().as_secs_f64();
     let soak_reconnects: u64 = soak.iter().map(|o| o.reconnects).sum();
-    stop_daemon(child, addr);
+    daemon.stop();
     println!(
         "  {} sessions byte-identical under chaos in {soak_s:.2}s ({soak_reconnects} reconnects)",
         soak.len()
@@ -322,12 +340,12 @@ fn real_main(args: &Args) -> Result<(), Error> {
 
     // Phase 2: disarmed control — same fleet, chaos-free child.
     println!("\n=== phase 2: disarmed control ===");
-    let (child, addr) = spawn_daemon(&["--max-jobs".into(), "4".into()])?;
+    let daemon = Daemon::spawn(&["--max-jobs".into(), "4".into()])?;
     let clean_start = Instant::now();
-    let clean = drive_fleet(addr, &soak_specs)?;
+    let clean = drive_fleet(daemon.addr, &soak_specs)?;
     let clean_s = clean_start.elapsed().as_secs_f64();
     let clean_reconnects: u64 = clean.iter().map(|o| o.reconnects).sum();
-    stop_daemon(child, addr);
+    daemon.stop();
     println!(
         "  {} sessions byte-identical clean in {clean_s:.2}s ({clean_reconnects} reconnects)",
         clean.len()
@@ -350,12 +368,13 @@ fn real_main(args: &Args) -> Result<(), Error> {
         let baseline = baseline_lines(&spec);
         drill_specs.push((spec, baseline));
     }
-    let (child, addr) = spawn_daemon(&[
+    let daemon = Daemon::spawn(&[
         "--root".into(),
         root.display().to_string(),
         "--max-jobs".into(),
         "2".into(),
     ])?;
+    let addr = daemon.addr;
 
     // The fleet runs in the background while this thread pulls the
     // trigger.
@@ -378,15 +397,11 @@ fn real_main(args: &Args) -> Result<(), Error> {
         std::thread::sleep(Duration::from_millis(20));
     }
     std::thread::sleep(Duration::from_millis(500));
-    let mut child = child;
-    child
-        .kill()
-        .map_err(|e| Error::InvalidConfig(format!("kill -9: {e}")))?;
-    let _ = child.wait();
+    drop(daemon); // SIGKILL, then reap
     println!("  daemon SIGKILLed mid-run; relaunching on {addr}");
 
     let relaunch = Instant::now();
-    let (child2, addr2) = spawn_daemon(&[
+    let daemon = Daemon::spawn(&[
         "--root".into(),
         root.display().to_string(),
         "--addr".into(),
@@ -395,13 +410,14 @@ fn real_main(args: &Args) -> Result<(), Error> {
         "2".into(),
     ])?;
     let recovery_ms = relaunch.elapsed().as_secs_f64() * 1e3;
-    if addr2 != addr {
+    if daemon.addr != addr {
         return Err(Error::InvalidConfig(format!(
-            "relaunched daemon bound {addr2}, expected {addr}"
+            "relaunched daemon bound {}, expected {addr}",
+            daemon.addr
         )));
     }
-    let mut admin = Client::connect(addr2)
-        .map_err(|e| Error::InvalidConfig(format!("admin reconnect: {e}")))?;
+    let mut admin =
+        Client::connect(addr).map_err(|e| Error::InvalidConfig(format!("admin reconnect: {e}")))?;
     let jobs_recovered = admin
         .stats()
         .map_err(|e| Error::InvalidConfig(format!("admin stats: {e}")))?
@@ -429,7 +445,7 @@ fn real_main(args: &Args) -> Result<(), Error> {
         drill.len()
     );
     drop(admin);
-    stop_daemon(child2, addr2);
+    daemon.stop();
     let _ = std::fs::remove_dir_all(&scratch);
 
     let meta = bench_meta_json(2);

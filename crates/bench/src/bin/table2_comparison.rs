@@ -14,10 +14,8 @@
 //! [flags]`, with the flags of [`yoso_bench::usage::TABLE2_COMPARISON`].
 //!
 //! `--threads 0` (default) uses all cores for sampling, hardware
-//! enumeration and reranking. `--surrogate sparse` builds the fast
-//! evaluator on the inducing-point sparse GPs instead of the exact
-//! ones; `--pareto-out` writes the last YOSO run's non-dominated
-//! archive to the given CSV path.
+//! enumeration and reranking. `--pareto-out` writes the last YOSO
+//! run's non-dominated archive to the given CSV path.
 
 use std::time::Instant;
 use yoso_accel::Simulator;
@@ -124,10 +122,7 @@ fn real_main() -> Result<(), Error> {
     }
 
     // ---- YOSO single-stage runs ----------------------------------------
-    let surrogate = args.surrogate()?;
-    println!(
-        "\n[yoso] building fast evaluator (HyperNet {hyper_epochs} epochs + {surrogate} GP) ..."
-    );
+    println!("\n[yoso] building fast evaluator (HyperNet {hyper_epochs} epochs + GP) ...");
     let t1 = Instant::now();
     let hyper_cfg = HyperTrainConfig {
         epochs: hyper_epochs,
@@ -135,8 +130,7 @@ fn real_main() -> Result<(), Error> {
         seed,
         ..Default::default()
     };
-    let fast =
-        FastEvaluator::build_with_surrogate(&skeleton, &data, &hyper_cfg, 500, seed, surrogate)?;
+    let fast = FastEvaluator::build(&skeleton, &data, &hyper_cfg, 500, seed)?;
     println!("  built in {:.1?}", t1.elapsed());
 
     let mut last_outcome = None;

@@ -124,7 +124,7 @@ pub mod usage {
     /// `ablations`: `--which` picks ablations by digit, `--pareto-out`
     /// writes the last search ablation's (2 or 4) archive.
     pub const ABLATIONS: &str = "ablations [--which 123456] [--threads 0] \
-        [--surrogate exact|sparse] [--pareto-out FILE] [--trace-out FILE] [--chaos-plan FILE]";
+        [--pareto-out FILE] [--trace-out FILE] [--chaos-plan FILE]";
     /// `bench_kernels`.
     pub const BENCH_KERNELS: &str =
         "bench_kernels [--iters 40] [--seed 0] [--out BENCH_kernels.json]";
@@ -140,8 +140,8 @@ pub mod usage {
         [--label-noise 0.02] [--trace-out FILE] [--chaos-plan FILE]";
     /// `fig6_search`.
     pub const FIG6_SEARCH: &str = "fig6_search [--part a|b|c|all] [--iterations 2000] [--seed 0] \
-        [--fast-evaluator] [--hyper-epochs 6] [--surrogate exact|sparse] [--pareto-out FILE] \
-        [--trace-out FILE] [--chaos-plan FILE]";
+        [--fast-evaluator] [--hyper-epochs 6] [--pareto-out FILE] [--trace-out FILE] \
+        [--chaos-plan FILE]";
     /// `fig7_normalized`.
     pub const FIG7_NORMALIZED: &str = "fig7_normalized [--trace-out FILE]";
     /// `loadgen`: `--addr` drives a running daemon instead of an
@@ -160,7 +160,7 @@ pub mod usage {
     /// `table2_comparison`.
     pub const TABLE2_COMPARISON: &str = "table2_comparison [--iterations 600] [--topn 5] \
         [--hyper-epochs 6] [--full-epochs 6] [--seed 0] [--threads 0] \
-        [--surrogate exact|sparse] [--pareto-out FILE] [--trace-out FILE] [--chaos-plan FILE]";
+        [--pareto-out FILE] [--trace-out FILE] [--chaos-plan FILE]";
 
     /// Every usage line above.
     pub const ALL: &[&str] = &[
@@ -263,23 +263,6 @@ impl Args {
     /// Presence of a boolean `--flag`.
     pub fn present(&self, flag: &str) -> bool {
         self.argv.iter().any(|a| a == flag)
-    }
-
-    /// The shared `--surrogate exact|sparse` flag as a typed
-    /// [`yoso_core::SurrogateKind`] (absent means exact — the seed
-    /// behavior).
-    ///
-    /// # Errors
-    ///
-    /// [`yoso_core::Error::InvalidConfig`] on any other value.
-    pub fn surrogate(&self) -> Result<yoso_core::SurrogateKind, yoso_core::Error> {
-        match self.value("--surrogate").as_deref() {
-            None | Some("exact") => Ok(yoso_core::SurrogateKind::Exact),
-            Some("sparse") => Ok(yoso_core::SurrogateKind::Sparse),
-            Some(other) => Err(yoso_core::Error::InvalidConfig(format!(
-                "--surrogate must be exact or sparse, got {other:?}"
-            ))),
-        }
     }
 
     /// The shared `--pareto-out <path>` flag: where to write the final
@@ -648,15 +631,16 @@ mod tests {
     }
 
     /// Flags deleted with what they set (the threaded GEMM's thread
-    /// count, int8 scoring's precision) and a stray word fail every
-    /// bin's parse with its usage line, instead of running without
-    /// effect.
+    /// count, int8 scoring's precision, the sparse GP backend) and a
+    /// stray word fail every bin's parse with its usage line, instead of
+    /// running without effect.
     #[test]
     fn every_bin_rejects_arguments_its_usage_line_does_not_name() {
         for usage in usage::ALL {
             for words in [
                 &["--matmul-threads", "2"][..],
                 &["--scoring", "int8"],
+                &["--surrogate", "sparse"],
                 &["--seed", "1", "stray"],
             ] {
                 let err = Args::from_argv(usage, argv(words)).unwrap_err();
@@ -688,30 +672,6 @@ mod tests {
                     assert!(parsed.present(flag), "{usage}: {flag}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn args_surrogate_parses_and_rejects_unknown_backends() {
-        let fig6 = usage::FIG6_SEARCH;
-        assert_eq!(
-            args(fig6, &["--surrogate", "sparse"]).surrogate().unwrap(),
-            yoso_core::SurrogateKind::Sparse
-        );
-        assert_eq!(
-            args(fig6, &["--surrogate", "exact"]).surrogate().unwrap(),
-            yoso_core::SurrogateKind::Exact
-        );
-        assert_eq!(
-            args(fig6, &[]).surrogate().unwrap(),
-            yoso_core::SurrogateKind::Exact
-        );
-        match args(fig6, &["--surrogate", "dense"]).surrogate() {
-            Err(yoso_core::Error::InvalidConfig(msg)) => {
-                assert!(msg.contains("exact or sparse"), "message: {msg}");
-                assert!(msg.contains("dense"), "message: {msg}");
-            }
-            other => panic!("expected InvalidConfig, got {other:?}"),
         }
     }
 

@@ -13,6 +13,7 @@ use yoso_arch::{DesignPoint, Genotype, NetworkPlan, NetworkSkeleton};
 use yoso_dataset::SynthCifar;
 use yoso_hypernet::{HyperNet, HyperTrainConfig};
 use yoso_nn::{CellNetwork, TrainConfig};
+// The benchmark runner names the predictor's one GP family through here.
 pub use yoso_predictor::perf::SurrogateKind;
 use yoso_predictor::perf::{collect_samples, PerfPredictor};
 
@@ -253,38 +254,11 @@ impl FastEvaluator {
         predictor_samples: usize,
         seed: u64,
     ) -> Result<Self, Error> {
-        Self::build_with_surrogate(
-            skeleton,
-            data,
-            hyper_cfg,
-            predictor_samples,
-            seed,
-            SurrogateKind::Exact,
-        )
-    }
-
-    /// [`build`](Self::build) with an explicit performance-surrogate
-    /// backend: [`SurrogateKind::Sparse`] swaps the O(n³) exact GPs for
-    /// subset-of-regressors approximations that absorb unbounded
-    /// observation volumes (the `--surrogate` bench flag ends up here).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Fit`] when the performance-predictor fit fails
-    /// (e.g. `predictor_samples == 0`).
-    pub fn build_with_surrogate(
-        skeleton: &NetworkSkeleton,
-        data: &SynthCifar,
-        hyper_cfg: &HyperTrainConfig,
-        predictor_samples: usize,
-        seed: u64,
-        surrogate: SurrogateKind,
-    ) -> Result<Self, Error> {
         let mut hyper = HyperNet::new(skeleton.clone(), seed);
         hyper.train(data, hyper_cfg);
         let sim = Simulator::exact();
         let samples = collect_samples(skeleton, &sim, predictor_samples, seed ^ 0x5a5a);
-        let predictor = PerfPredictor::train_with(skeleton, &samples, surrogate)?;
+        let predictor = PerfPredictor::train(skeleton, &samples)?;
         Ok(Self::from_parts(hyper, predictor, data.clone()))
     }
 

@@ -71,7 +71,7 @@ pub use checkpoint::{latest_checkpoint, SessionCheckpoint};
 pub use error::{error_chain, Error};
 pub use evaluation::{
     calibrate_constraints, AccurateEvaluator, Evaluation, Evaluator, FastEvaluator,
-    ScoringPrecision, SurrogateEvaluator, SurrogateKind,
+    ScoringPrecision, SurrogateEvaluator,
 };
 pub use pipeline::{finalize, run_search_and_finalize, Finalist, YosoResult};
 pub use reward::{Constraints, RewardConfig, RewardForm};

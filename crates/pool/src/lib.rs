@@ -26,8 +26,8 @@
 //! contract of propagating the panic — but only after the retry budget
 //! is exhausted, and with the original payload message preserved.
 //! Health counters (`pool.panics_caught`, `pool.retries`,
-//! `pool.timeouts`, `pool.workers_lost`, `pool.items_recovered`) are
-//! emitted through `yoso-trace` when telemetry is enabled.
+//! `pool.workers_lost`, `pool.items_recovered`) are emitted through
+//! `yoso-trace` when telemetry is enabled.
 //!
 //! Deterministic worker-panic faults can be injected via `yoso-chaos`
 //! ([`yoso_chaos::FaultKind::WorkerPanic`]): decisions are keyed on the
@@ -89,16 +89,12 @@ fn resolve(threads: usize, n: usize) -> usize {
     threads.clamp(1, n.max(1))
 }
 
-/// Retry/deadline policy for supervised maps.
+/// Retry policy for supervised maps.
 ///
-/// An item "fails" when its closure panics or (if `deadline` is set)
-/// overruns the deadline. Failed items are retried after an exponential
-/// backoff (`backoff`, doubling per attempt, capped at `backoff_max`)
-/// until `max_retries` retries are spent; the final verdict is a typed
-/// [`ItemOutcome`]. Deadlines are detected post-hoc — safe Rust cannot
-/// preempt a running closure — so a deadline bounds *detection*, not the
-/// item's own runtime, and a deterministically slow item will time out
-/// on every attempt.
+/// An item "fails" when its closure panics. Failed items are retried
+/// after an exponential backoff (`backoff`, doubling per attempt, capped
+/// at `backoff_max`) until `max_retries` retries are spent; the final
+/// verdict is a typed [`ItemOutcome`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SupervisorConfig {
     /// Failed attempts to retry before giving up (0 = fail fast).
@@ -107,31 +103,15 @@ pub struct SupervisorConfig {
     pub backoff: Duration,
     /// Ceiling for the doubled backoff.
     pub backoff_max: Duration,
-    /// Per-item soft deadline (`None` = unlimited).
-    pub deadline: Option<Duration>,
 }
 
 impl Default for SupervisorConfig {
-    /// Two retries, 1 ms base backoff capped at 100 ms, no deadline.
+    /// Two retries, 1 ms base backoff capped at 100 ms.
     fn default() -> Self {
         SupervisorConfig {
             max_retries: 2,
             backoff: Duration::from_millis(1),
             backoff_max: Duration::from_millis(100),
-            deadline: None,
-        }
-    }
-}
-
-impl SupervisorConfig {
-    /// Policy that never retries and never times out: failures surface
-    /// on the first attempt.
-    pub fn fail_fast() -> Self {
-        SupervisorConfig {
-            max_retries: 0,
-            backoff: Duration::ZERO,
-            backoff_max: Duration::ZERO,
-            deadline: None,
         }
     }
 }
@@ -155,13 +135,6 @@ pub enum ItemOutcome<T> {
         /// Stringified payload of the last panic.
         message: String,
     },
-    /// Overran the deadline on every attempt.
-    TimedOut {
-        /// Attempts made (initial try + retries).
-        attempts: u32,
-        /// Wall time of the last attempt.
-        elapsed: Duration,
-    },
 }
 
 impl<T> ItemOutcome<T> {
@@ -182,9 +155,9 @@ impl<T> ItemOutcome<T> {
     pub fn failed_attempts(&self) -> u32 {
         match self {
             ItemOutcome::Ok(_) => 0,
-            ItemOutcome::Retried { attempts, .. }
-            | ItemOutcome::Panicked { attempts, .. }
-            | ItemOutcome::TimedOut { attempts, .. } => *attempts,
+            ItemOutcome::Retried { attempts, .. } | ItemOutcome::Panicked { attempts, .. } => {
+                *attempts
+            }
         }
     }
 }
@@ -202,15 +175,6 @@ pub enum PoolError {
         /// Stringified payload of the last panic.
         message: String,
     },
-    /// The item overran its deadline on every attempt.
-    ItemTimedOut {
-        /// Item index within the map.
-        index: usize,
-        /// Attempts made.
-        attempts: u32,
-        /// Wall time of the last attempt.
-        elapsed: Duration,
-    },
 }
 
 impl fmt::Display for PoolError {
@@ -223,14 +187,6 @@ impl fmt::Display for PoolError {
             } => write!(
                 f,
                 "pool item {index} panicked after {attempts} attempt(s): {message}"
-            ),
-            PoolError::ItemTimedOut {
-                index,
-                attempts,
-                elapsed,
-            } => write!(
-                f,
-                "pool item {index} exceeded its deadline after {attempts} attempt(s) (last took {elapsed:?})"
             ),
         }
     }
@@ -260,8 +216,8 @@ fn backoff_sleep(cfg: &SupervisorConfig, failed_attempts: u32) {
     }
 }
 
-/// Runs one item to its final verdict: attempt, catch panics, check the
-/// deadline, back off and retry within budget.
+/// Runs one item to its final verdict: attempt, catch panics, back off
+/// and retry within budget.
 fn run_one<T, F>(
     i: usize,
     map_salt: u64,
@@ -274,7 +230,6 @@ where
 {
     let mut failed: u32 = 0;
     loop {
-        let start = cfg.deadline.map(|_| Instant::now());
         let result = catch_unwind(AssertUnwindSafe(|| {
             if yoso_chaos::armed()
                 && yoso_chaos::should_fault_indexed(
@@ -288,54 +243,30 @@ where
             }
             f(i)
         }));
-        match result {
+        let payload = match result {
+            Ok(value) if failed == 0 => return ItemOutcome::Ok(value),
             Ok(value) => {
-                if let (Some(deadline), Some(start)) = (cfg.deadline, start) {
-                    let elapsed = start.elapsed();
-                    if elapsed > deadline {
-                        if traced {
-                            yoso_trace::counter_add("pool.timeouts", 1);
-                        }
-                        failed += 1;
-                        if failed > cfg.max_retries {
-                            return ItemOutcome::TimedOut {
-                                attempts: failed,
-                                elapsed,
-                            };
-                        }
-                        if traced {
-                            yoso_trace::counter_add("pool.retries", 1);
-                        }
-                        backoff_sleep(cfg, failed);
-                        continue;
-                    }
+                return ItemOutcome::Retried {
+                    value,
+                    attempts: failed,
                 }
-                return if failed == 0 {
-                    ItemOutcome::Ok(value)
-                } else {
-                    ItemOutcome::Retried {
-                        value,
-                        attempts: failed,
-                    }
-                };
             }
-            Err(payload) => {
-                if traced {
-                    yoso_trace::counter_add("pool.panics_caught", 1);
-                }
-                failed += 1;
-                if failed > cfg.max_retries {
-                    return ItemOutcome::Panicked {
-                        attempts: failed,
-                        message: panic_message(payload.as_ref()),
-                    };
-                }
-                if traced {
-                    yoso_trace::counter_add("pool.retries", 1);
-                }
-                backoff_sleep(cfg, failed);
-            }
+            Err(payload) => payload,
+        };
+        if traced {
+            yoso_trace::counter_add("pool.panics_caught", 1);
         }
+        failed += 1;
+        if failed > cfg.max_retries {
+            return ItemOutcome::Panicked {
+                attempts: failed,
+                message: panic_message(payload.as_ref()),
+            };
+        }
+        if traced {
+            yoso_trace::counter_add("pool.retries", 1);
+        }
+        backoff_sleep(cfg, failed);
     }
 }
 
@@ -446,8 +377,7 @@ where
 ///
 /// # Errors
 ///
-/// [`PoolError::ItemPanicked`] / [`PoolError::ItemTimedOut`] when an
-/// item exhausts its retry budget.
+/// [`PoolError::ItemPanicked`] when an item exhausts its retry budget.
 pub fn try_parallel_map<T, F>(n: usize, threads: usize, f: F) -> Result<Vec<T>, PoolError>
 where
     T: Send,
@@ -465,13 +395,6 @@ where
                     index,
                     attempts,
                     message,
-                });
-            }
-            ItemOutcome::TimedOut { attempts, elapsed } => {
-                return Err(PoolError::ItemTimedOut {
-                    index,
-                    attempts,
-                    elapsed,
                 });
             }
         }
@@ -687,30 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_overrun_times_out() {
-        let cfg = SupervisorConfig {
-            max_retries: 1,
-            backoff: Duration::ZERO,
-            backoff_max: Duration::ZERO,
-            deadline: Some(Duration::from_millis(1)),
-        };
-        let out = supervised_map(2, 2, &cfg, |i| {
-            if i == 1 {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            i
-        });
-        assert_eq!(out[0], ItemOutcome::Ok(0));
-        match &out[1] {
-            ItemOutcome::TimedOut { attempts, elapsed } => {
-                assert_eq!(*attempts, 2);
-                assert!(*elapsed >= Duration::from_millis(1));
-            }
-            other => panic!("expected TimedOut, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn try_parallel_map_returns_typed_error() {
         let err = try_parallel_map(5, 2, |i| {
             if i >= 3 {
@@ -719,13 +618,9 @@ mod tests {
             i
         })
         .unwrap_err();
-        match err {
-            PoolError::ItemPanicked { index, message, .. } => {
-                assert_eq!(index, 3); // lowest failing index wins
-                assert!(message.contains("bad item"));
-            }
-            other => panic!("expected ItemPanicked, got {other:?}"),
-        }
+        let PoolError::ItemPanicked { index, message, .. } = err;
+        assert_eq!(index, 3); // lowest failing index wins
+        assert!(message.contains("bad item"));
         assert_eq!(try_parallel_map(3, 2, |i| i).unwrap(), vec![0, 1, 2]);
     }
 

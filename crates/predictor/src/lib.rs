@@ -35,12 +35,11 @@ pub mod regressors;
 pub mod standardize;
 
 pub use features::{design_features, stats_features, FEATURE_DIM};
-pub use perf::{collect_samples, PerfPredictor, PerfSample, SurrogateKind};
+pub use perf::{collect_samples, PerfPredictor, PerfSample};
 pub use regressors::forest::RandomForest;
 pub use regressors::gp::GaussianProcess;
 pub use regressors::knn::Knn;
 pub use regressors::linear::{LinearRegression, Ridge};
-pub use regressors::sparse_gp::SparseGaussianProcess;
 pub use regressors::svr::LinearSvr;
 pub use regressors::tree::DecisionTree;
 pub use regressors::{fig4_models, FitError, Regressor};

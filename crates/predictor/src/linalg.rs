@@ -3,7 +3,6 @@
 #![allow(clippy::needless_range_loop)]
 
 use std::fmt;
-use yoso_persist::{ByteReader, ByteWriter, PersistError, Snapshot};
 
 /// Dense row-major `f64` matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,11 +44,6 @@ impl Matrix {
     /// Row count.
     pub fn rows(&self) -> usize {
         self.rows
-    }
-
-    /// Row-major backing data.
-    pub fn data(&self) -> &[f64] {
-        &self.data
     }
 
     /// Column count.
@@ -191,28 +185,6 @@ impl Matrix {
     pub fn solve_spd(&self, b: &[f64]) -> Result<Vec<f64>, NotPositiveDefiniteError> {
         let l = self.cholesky()?;
         Ok(l.solve_lower_transpose(&l.solve_lower(b)))
-    }
-}
-
-impl Snapshot for Matrix {
-    fn snapshot(&self, w: &mut ByteWriter) {
-        w.put_usize(self.rows);
-        w.put_usize(self.cols);
-        w.put_f64s(&self.data);
-    }
-
-    fn restore(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        let rows = r.take_usize()?;
-        let cols = r.take_usize()?;
-        let data = r.take_f64s()?;
-        if data.len() != rows * cols {
-            return Err(PersistError::Malformed(format!(
-                "matrix {rows}x{cols} needs {} elems, got {}",
-                rows * cols,
-                data.len()
-            )));
-        }
-        Ok(Matrix { rows, cols, data })
     }
 }
 

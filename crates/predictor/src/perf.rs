@@ -4,112 +4,18 @@
 use crate::features::design_features;
 use crate::metrics::mape;
 use crate::regressors::gp::GaussianProcess;
-use crate::regressors::sparse_gp::SparseGaussianProcess;
 use crate::regressors::{FitError, Regressor};
 use yoso_accel::Simulator;
 use yoso_arch::{DesignPoint, NetworkSkeleton};
 use yoso_persist::{ByteReader, ByteWriter, PersistError, Snapshot};
 
-/// Which GP family backs the performance predictor.
-///
-/// [`Exact`](SurrogateKind::Exact) is the paper's O(n³) GP —
-/// most accurate, capped at `max_train` points.
-/// [`Sparse`](SurrogateKind::Sparse) is the subset-of-regressors
-/// approximation ([`SparseGaussianProcess`]) — O(n·m²) fit, O(m²)
-/// incremental append with no cap, built for the observation volumes a
-/// served deployment accumulates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The GP family behind the performance predictor: the paper's exact
+/// RBF-kernel GP, the only one. It keeps a name because
+/// [`PerfPredictor::train_with`] takes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SurrogateKind {
     /// Exact GP (paper default).
-    #[default]
     Exact,
-    /// Subset-of-regressors sparse GP.
-    Sparse,
-}
-
-impl std::fmt::Display for SurrogateKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SurrogateKind::Exact => "exact",
-            SurrogateKind::Sparse => "sparse",
-        })
-    }
-}
-
-/// Either GP family behind one dispatching surface.
-#[derive(Debug, Clone)]
-enum SurrogateGp {
-    Exact(GaussianProcess),
-    Sparse(SparseGaussianProcess),
-}
-
-impl SurrogateGp {
-    fn new(kind: SurrogateKind) -> Self {
-        match kind {
-            SurrogateKind::Exact => SurrogateGp::Exact(GaussianProcess::default_rbf()),
-            SurrogateKind::Sparse => SurrogateGp::Sparse(SparseGaussianProcess::default_rbf()),
-        }
-    }
-
-    fn kind(&self) -> SurrogateKind {
-        match self {
-            SurrogateGp::Exact(_) => SurrogateKind::Exact,
-            SurrogateGp::Sparse(_) => SurrogateKind::Sparse,
-        }
-    }
-
-    fn fit(&mut self, xs: &[Vec<f64>], ys: &[f64]) -> Result<(), FitError> {
-        match self {
-            SurrogateGp::Exact(gp) => gp.fit(xs, ys),
-            SurrogateGp::Sparse(gp) => gp.fit(xs, ys),
-        }
-    }
-
-    fn append(&mut self, xs: &[Vec<f64>], ys: &[f64]) -> Result<(), FitError> {
-        match self {
-            SurrogateGp::Exact(gp) => gp.append(xs, ys),
-            SurrogateGp::Sparse(gp) => gp.append(xs, ys),
-        }
-    }
-
-    fn predict_one(&self, f: &[f64]) -> f64 {
-        match self {
-            SurrogateGp::Exact(gp) => gp.predict_one(f),
-            SurrogateGp::Sparse(gp) => gp.predict_one(f),
-        }
-    }
-
-    fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        match self {
-            SurrogateGp::Exact(gp) => gp.predict_batch(xs),
-            SurrogateGp::Sparse(gp) => gp.predict_batch(xs),
-        }
-    }
-}
-
-impl Snapshot for SurrogateGp {
-    fn snapshot(&self, w: &mut ByteWriter) {
-        match self {
-            SurrogateGp::Exact(gp) => {
-                w.put_u8(0);
-                gp.snapshot(w);
-            }
-            SurrogateGp::Sparse(gp) => {
-                w.put_u8(1);
-                gp.snapshot(w);
-            }
-        }
-    }
-
-    fn restore(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        match r.take_u8()? {
-            0 => Ok(SurrogateGp::Exact(GaussianProcess::restore(r)?)),
-            1 => Ok(SurrogateGp::Sparse(SparseGaussianProcess::restore(r)?)),
-            tag => Err(PersistError::Malformed(format!(
-                "surrogate gp: unknown kind tag {tag}"
-            ))),
-        }
-    }
 }
 
 /// One ground-truth sample: a design point and its simulated performance.
@@ -151,13 +57,12 @@ pub fn collect_samples(
 #[derive(Debug, Clone)]
 pub struct PerfPredictor {
     skeleton: NetworkSkeleton,
-    latency_gp: SurrogateGp,
-    energy_gp: SurrogateGp,
+    latency_gp: GaussianProcess,
+    energy_gp: GaussianProcess,
 }
 
 impl PerfPredictor {
-    /// Trains both GPs from simulator samples with the paper-default
-    /// [`SurrogateKind::Exact`] backend.
+    /// Trains both GPs from simulator samples.
     ///
     /// Targets are modeled in log space (latency and energy are positive
     /// and multiplicative in the design factors), then exponentiated at
@@ -167,20 +72,6 @@ impl PerfPredictor {
     ///
     /// Returns [`FitError`] if `samples` is empty or a fit fails.
     pub fn train(skeleton: &NetworkSkeleton, samples: &[PerfSample]) -> Result<Self, FitError> {
-        Self::train_with(skeleton, samples, SurrogateKind::Exact)
-    }
-
-    /// Trains both regressors from simulator samples with an explicit
-    /// surrogate backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FitError`] if `samples` is empty or a fit fails.
-    pub fn train_with(
-        skeleton: &NetworkSkeleton,
-        samples: &[PerfSample],
-        kind: SurrogateKind,
-    ) -> Result<Self, FitError> {
         if samples.is_empty() {
             return Err(FitError::EmptyTrainingSet);
         }
@@ -196,9 +87,9 @@ impl PerfPredictor {
             .iter()
             .map(|s| s.energy_mj.max(1e-12).ln())
             .collect();
-        let mut latency_gp = SurrogateGp::new(kind);
+        let mut latency_gp = GaussianProcess::default_rbf();
         latency_gp.fit(&xs, &y_lat)?;
-        let mut energy_gp = SurrogateGp::new(kind);
+        let mut energy_gp = GaussianProcess::default_rbf();
         energy_gp.fit(&xs, &y_eer)?;
         Ok(PerfPredictor {
             skeleton: skeleton.clone(),
@@ -207,41 +98,17 @@ impl PerfPredictor {
         })
     }
 
-    /// The surrogate backend this predictor was trained with.
-    pub fn kind(&self) -> SurrogateKind {
-        self.latency_gp.kind()
-    }
-
-    /// Folds new simulator samples into both regressors **incrementally**
-    /// — a Cholesky rank-append per point for the exact GP
-    /// ([`GaussianProcess::append`]), a rank-1 normal-equation update for
-    /// the sparse one ([`SparseGaussianProcess::append`]) — with the same
-    /// log-space target transform. Hyper-parameters stay frozen at the
-    /// values selected by the last full [`train`](Self::train).
+    /// [`train`](Self::train), naming the one [`SurrogateKind`].
     ///
     /// # Errors
     ///
-    /// Returns [`FitError`] on dimension mismatch or if a fallback
-    /// refactorization fails.
-    pub fn append_samples(&mut self, samples: &[PerfSample]) -> Result<(), FitError> {
-        if samples.is_empty() {
-            return Ok(());
-        }
-        let xs: Vec<Vec<f64>> = samples
-            .iter()
-            .map(|s| design_features(&s.point, &self.skeleton))
-            .collect();
-        let y_lat: Vec<f64> = samples
-            .iter()
-            .map(|s| s.latency_ms.max(1e-12).ln())
-            .collect();
-        let y_eer: Vec<f64> = samples
-            .iter()
-            .map(|s| s.energy_mj.max(1e-12).ln())
-            .collect();
-        self.latency_gp.append(&xs, &y_lat)?;
-        self.energy_gp.append(&xs, &y_eer)?;
-        Ok(())
+    /// Returns [`FitError`] if `samples` is empty or a fit fails.
+    pub fn train_with(
+        skeleton: &NetworkSkeleton,
+        samples: &[PerfSample],
+        _kind: SurrogateKind,
+    ) -> Result<Self, FitError> {
+        Self::train(skeleton, samples)
     }
 
     /// Predicts `(latency_ms, energy_mj)` for a design point.
@@ -274,8 +141,8 @@ impl PerfPredictor {
     /// Feature extraction (which compiles each genotype) fans out over
     /// the worker pool, and both GPs score the batch through
     /// [`GaussianProcess::predict_batch`] — one blocked cross-kernel
-    /// pass each instead of a per-point variance solve. Results match
-    /// [`predict`](Self::predict) bit-for-bit.
+    /// pass each, on the mean path [`predict`](Self::predict) also
+    /// ends in, so results match it bit for bit.
     pub fn predict_batch(&self, points: &[DesignPoint]) -> Vec<(f64, f64)> {
         let xs: Vec<Vec<f64>> = yoso_pool::parallel_map(points.len(), 0, |i| {
             design_features(&points[i], &self.skeleton)
@@ -337,8 +204,8 @@ impl Snapshot for PerfPredictor {
     fn restore(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
         Ok(PerfPredictor {
             skeleton: NetworkSkeleton::restore(r)?,
-            latency_gp: SurrogateGp::restore(r)?,
-            energy_gp: SurrogateGp::restore(r)?,
+            latency_gp: GaussianProcess::restore(r)?,
+            energy_gp: GaussianProcess::restore(r)?,
         })
     }
 }
@@ -397,44 +264,9 @@ mod tests {
         assert_eq!(batch.len(), points.len());
         for (p, &(bl, be)) in points.iter().zip(&batch) {
             let (l, e) = pred.predict(p);
-            assert!((l - bl).abs() <= 1e-9 * l.abs().max(1.0), "{l} vs {bl}");
-            assert!((e - be).abs() <= 1e-9 * e.abs().max(1.0), "{e} vs {be}");
+            assert_eq!(l.to_bits(), bl.to_bits(), "{l} vs {bl}");
+            assert_eq!(e.to_bits(), be.to_bits(), "{e} vs {be}");
         }
-    }
-
-    #[test]
-    fn appended_samples_improve_accuracy() {
-        let skeleton = NetworkSkeleton::tiny();
-        let sim = Simulator::fast();
-        let all = collect_samples(&skeleton, &sim, 300, 20);
-        let test = collect_samples(&skeleton, &sim, 60, 21);
-        let mut pred = PerfPredictor::train(&skeleton, &all[..100]).unwrap();
-        let (lat_small, _) = pred.evaluate(&test);
-        pred.append_samples(&all[100..]).unwrap();
-        let (lat_big, eer_big) = pred.evaluate(&test);
-        // More data through the incremental path must not hurt, and
-        // accuracy stays in the same band as a from-scratch train.
-        assert!(
-            lat_big <= lat_small * 1.1,
-            "append degraded MAPE: {lat_small} -> {lat_big}"
-        );
-        assert!(lat_big < 0.15, "latency MAPE {lat_big}");
-        assert!(eer_big < 0.15, "energy MAPE {eer_big}");
-    }
-
-    #[test]
-    fn append_empty_is_noop() {
-        let skeleton = NetworkSkeleton::tiny();
-        let sim = Simulator::fast();
-        let train = collect_samples(&skeleton, &sim, 80, 22);
-        let mut pred = PerfPredictor::train(&skeleton, &train).unwrap();
-        let mut rng = StdRng::seed_from_u64(23);
-        let p = DesignPoint::random(&mut rng);
-        let before = pred.predict(&p);
-        pred.append_samples(&[]).unwrap();
-        let after = pred.predict(&p);
-        assert_eq!(before.0.to_bits(), after.0.to_bits());
-        assert_eq!(before.1.to_bits(), after.1.to_bits());
     }
 
     #[test]
@@ -449,47 +281,6 @@ mod tests {
         let back = PerfPredictor::restore(&mut ByteReader::new(&bytes)).unwrap();
         let mut rng = StdRng::seed_from_u64(12);
         for _ in 0..25 {
-            let p = DesignPoint::random(&mut rng);
-            let (l0, e0) = pred.predict(&p);
-            let (l1, e1) = back.predict(&p);
-            assert_eq!(l0.to_bits(), l1.to_bits());
-            assert_eq!(e0.to_bits(), e1.to_bits());
-        }
-    }
-
-    #[test]
-    fn sparse_backend_is_accurate_and_appendable() {
-        let skeleton = NetworkSkeleton::tiny();
-        let sim = Simulator::fast();
-        let train = collect_samples(&skeleton, &sim, 300, 30);
-        let test = collect_samples(&skeleton, &sim, 60, 31);
-        let mut pred =
-            PerfPredictor::train_with(&skeleton, &train[..200], SurrogateKind::Sparse).unwrap();
-        assert_eq!(pred.kind(), SurrogateKind::Sparse);
-        let (lat_err, eer_err) = pred.evaluate(&test);
-        assert!(lat_err < 0.2, "sparse latency MAPE {lat_err}");
-        assert!(eer_err < 0.2, "sparse energy MAPE {eer_err}");
-        pred.append_samples(&train[200..]).unwrap();
-        let (lat_more, _) = pred.evaluate(&test);
-        assert!(
-            lat_more <= lat_err * 1.1,
-            "sparse append degraded MAPE: {lat_err} -> {lat_more}"
-        );
-    }
-
-    #[test]
-    fn sparse_predictor_roundtrips_with_kind_tag() {
-        let skeleton = NetworkSkeleton::tiny();
-        let sim = Simulator::fast();
-        let train = collect_samples(&skeleton, &sim, 100, 32);
-        let pred = PerfPredictor::train_with(&skeleton, &train, SurrogateKind::Sparse).unwrap();
-        let mut w = ByteWriter::new();
-        pred.snapshot(&mut w);
-        let bytes = w.into_bytes();
-        let back = PerfPredictor::restore(&mut ByteReader::new(&bytes)).unwrap();
-        assert_eq!(back.kind(), SurrogateKind::Sparse);
-        let mut rng = StdRng::seed_from_u64(33);
-        for _ in 0..10 {
             let p = DesignPoint::random(&mut rng);
             let (l0, e0) = pred.predict(&p);
             let (l1, e1) = back.predict(&p);

@@ -8,7 +8,6 @@ pub mod forest;
 pub mod gp;
 pub mod knn;
 pub mod linear;
-pub mod sparse_gp;
 pub mod svr;
 pub mod tree;
 

@@ -92,10 +92,8 @@ pub use yoso_trace as trace;
 /// typed [`Objectives`](yoso_core::archive::Objectives) point, rank
 /// axis [`Objective`](yoso_core::archive::Objective), deployment
 /// [`FeasibilityCaps`](yoso_core::archive::FeasibilityCaps), the
-/// [`ParetoArchive`](yoso_core::archive::ParetoArchive) itself, its
-/// wire form ([`ParetoFront`](yoso_server::proto::ParetoFront)) and
-/// the surrogate selector
-/// ([`SurrogateKind`](yoso_core::evaluation::SurrogateKind)).
+/// [`ParetoArchive`](yoso_core::archive::ParetoArchive) itself and its
+/// wire form ([`ParetoFront`](yoso_server::proto::ParetoFront)).
 pub mod prelude {
     pub use yoso_chaos::{FaultKind, FaultPlan, FaultRule};
     pub use yoso_client::{Client, ClientError, ResilientClient, RetryPolicy};
@@ -104,7 +102,7 @@ pub mod prelude {
     pub use yoso_core::error::{error_chain, Error};
     pub use yoso_core::evaluation::{
         calibrate_constraints, AccurateEvaluator, Evaluation, Evaluator, FastEvaluator,
-        SurrogateEvaluator, SurrogateKind,
+        SurrogateEvaluator,
     };
     pub use yoso_core::reward::{Constraints, NonFiniteMetric, RewardConfig, RewardForm};
     pub use yoso_core::search::{

@@ -372,7 +372,7 @@ impl<S: BuildHasher> SimCache<S> {
 
     fn clear(&self) {
         for shard in &self.shards {
-            shard.write().clear();
+            *shard.write() = Shard::default();
         }
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
@@ -582,7 +582,8 @@ pub fn stats() -> CacheStats {
     global().stats()
 }
 
-/// Empties the global cache and zeroes its counters.
+/// Empties the global cache, releasing its tables, and zeroes its
+/// counters, so the next lookups pay what a fresh process pays.
 pub fn clear() {
     global().clear()
 }

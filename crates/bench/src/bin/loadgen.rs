@@ -42,7 +42,7 @@
 use std::net::SocketAddr;
 use std::time::Instant;
 
-use yoso_bench::{bench_meta_json, run_main, usage, Args, Table};
+use yoso_bench::{bench_meta_json, interleaved, run_main, usage, Args, Spread, Table, TempDir};
 use yoso_client::Client;
 use yoso_core::error::Error;
 use yoso_core::evaluation::calibrate_constraints;
@@ -306,15 +306,15 @@ fn real_main() -> Result<(), Error> {
     // each run the same batch of jobs once untimed (same seeds, so every
     // timed batch rides the simulator cache identically and the delta
     // isolates the journal path), then in `JOURNAL_ROUNDS` timed rounds
-    // that alternate which side goes first. A batch takes a fraction of
-    // a second, so one pair sits within noise of the bound; the gate is
-    // the median round's overhead.
+    // that alternate which side goes first (`interleaved`). A batch takes
+    // a fraction of a second, so one pair sits within noise of the bound;
+    // the gate is the median of the rounds' paired overheads. The journal
+    // root is a `TempDir`, removed on every exit path.
     let journal_json = if in_process {
         println!("\n=== phase 3: journal overhead & recovery ===");
         let journal_jobs = tenants.max(4);
         let batch_seed = 40_000u64;
-        let run_batch = |addr: SocketAddr| -> Result<f64, Error> {
-            let start = Instant::now();
+        let run_batch = |addr: SocketAddr| -> Result<(), Error> {
             for i in 0..journal_jobs {
                 let spec = spec_for(
                     &format!("journal-t{i}"),
@@ -324,7 +324,7 @@ fn real_main() -> Result<(), Error> {
                 );
                 drive_job(addr, &spec, iterations)?;
             }
-            Ok(start.elapsed().as_secs_f64())
+            Ok(())
         };
         let start_server = |root: Option<std::path::PathBuf>| -> Result<Server, Error> {
             Server::start(ServerConfig {
@@ -336,27 +336,16 @@ fn real_main() -> Result<(), Error> {
             .map_err(|e| Error::InvalidConfig(format!("journal-phase bind: {e}")))
         };
 
-        let root =
-            std::env::temp_dir().join(format!("yoso_loadgen_journal_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        std::fs::create_dir_all(&root)
+        let root = TempDir::new("yoso_loadgen_journal")
             .map_err(|e| Error::InvalidConfig(format!("journal scratch root: {e}")))?;
         let plain = start_server(None)?;
-        let journaled = start_server(Some(root.clone()))?;
-        let sides = [plain.addr(), journaled.addr()];
-        for addr in sides {
-            run_batch(addr)?; // warm-up
-        }
-        let (mut plain_s, mut journaled_s, mut overhead) = (Vec::new(), Vec::new(), Vec::new());
-        for round in 0..JOURNAL_ROUNDS {
-            let mut wall = [0.0f64; 2];
-            for side in [round % 2, 1 - round % 2] {
-                wall[side] = run_batch(sides[side])?;
-            }
-            plain_s.push(wall[0]);
-            journaled_s.push(wall[1]);
-            overhead.push(100.0 * (wall[1] - wall[0]) / wall[0].max(1e-9));
-        }
+        let journaled = start_server(Some(root.path().to_path_buf()))?;
+        let [plain_t, journaled_t] = interleaved(
+            JOURNAL_ROUNDS,
+            [&mut || run_batch(plain.addr()), &mut || {
+                run_batch(journaled.addr())
+            }],
+        )?;
         let mut jc = Client::connect(journaled.addr()).map_err(client_err)?;
         let fsyncs = jc.stats().map_err(client_err)?.journal_fsyncs;
         jc.shutdown_server().map_err(client_err)?;
@@ -364,36 +353,37 @@ fn real_main() -> Result<(), Error> {
         journaled.shutdown();
         plain.shutdown();
 
-        for v in [&mut plain_s, &mut journaled_s, &mut overhead] {
-            v.sort_by(f64::total_cmp);
-        }
-        let plain_wall = percentile(&plain_s, 0.5);
-        let journaled_wall = percentile(&journaled_s, 0.5);
-        let overhead_pct = percentile(&overhead, 0.5);
-        let (min_pct, max_pct) = (overhead[0], overhead[JOURNAL_ROUNDS - 1]);
+        let overhead: Vec<f64> = plain_t
+            .samples_ms
+            .iter()
+            .zip(&journaled_t.samples_ms)
+            .map(|(plain, journaled)| 100.0 * (journaled - plain) / plain.max(1e-9))
+            .collect();
+        let overhead = Spread::of(&overhead);
+        let [plain_wall, journaled_wall] = [plain_t.ms, journaled_t.ms].map(|t| t.scaled(1e-3));
         println!(
-            "  {journal_jobs} jobs x {JOURNAL_ROUNDS} rounds: plain {plain_wall:.3}s, journaled \
-             {journaled_wall:.3}s (medians); overhead {overhead_pct:+.1}% median, \
-             {min_pct:+.1}% to {max_pct:+.1}%, {fsyncs} fsyncs"
+            "  {journal_jobs} jobs x {JOURNAL_ROUNDS} rounds: plain {:.3}s, journaled \
+             {:.3}s (medians); overhead {:+.1}% median, {:+.1}% to {:+.1}%, {fsyncs} fsyncs",
+            plain_wall.median, journaled_wall.median, overhead.median, overhead.min, overhead.max
         );
-        if overhead_pct > 10.0 {
+        if overhead.median > 10.0 {
             return Err(Error::InvalidConfig(format!(
-                "median journal overhead {overhead_pct:.1}% over {JOURNAL_ROUNDS} rounds \
-                 exceeds the 10% budget (plain {plain_wall:.3}s vs journaled {journaled_wall:.3}s)"
+                "median journal overhead {:.1}% over {JOURNAL_ROUNDS} rounds exceeds the 10% \
+                 budget (plain {:.3}s vs journaled {:.3}s)",
+                overhead.median, plain_wall.median, journaled_wall.median
             )));
         }
 
         // Recovery: a fresh server on the populated root must pick up
         // every journaled job at startup.
         let recover_start = Instant::now();
-        let recovered_server = start_server(Some(root.clone()))?;
+        let recovered_server = start_server(Some(root.path().to_path_buf()))?;
         let recovery_ms = recover_start.elapsed().as_secs_f64() * 1e3;
         let mut rc = Client::connect(recovered_server.addr()).map_err(client_err)?;
         let recovered = rc.stats().map_err(client_err)?.jobs_recovered;
         rc.shutdown_server().map_err(client_err)?;
         drop(rc);
         recovered_server.shutdown();
-        let _ = std::fs::remove_dir_all(&root);
         // Warm-up plus every round.
         let journaled_jobs = (journal_jobs * (JOURNAL_ROUNDS + 1)) as u64;
         if recovered != journaled_jobs {
@@ -403,7 +393,10 @@ fn real_main() -> Result<(), Error> {
         }
         println!("  restart recovered {recovered} jobs in {recovery_ms:.1} ms");
         format!(
-            "{{\n    \"jobs\": {journal_jobs},\n    \"rounds\": {JOURNAL_ROUNDS},\n    \"plain_wall_s\": {plain_wall:.3},\n    \"journaled_wall_s\": {journaled_wall:.3},\n    \"overhead_pct\": {{ \"median\": {overhead_pct:.2}, \"min\": {min_pct:.2}, \"max\": {max_pct:.2} }},\n    \"fsyncs\": {fsyncs},\n    \"restart_recovery_ms\": {recovery_ms:.2},\n    \"jobs_recovered\": {recovered}\n  }}"
+            "{{\n    \"jobs\": {journal_jobs},\n    \"rounds\": {JOURNAL_ROUNDS},\n    \"plain_wall_s\": {},\n    \"journaled_wall_s\": {},\n    \"overhead_pct\": {},\n    \"fsyncs\": {fsyncs},\n    \"restart_recovery_ms\": {recovery_ms:.2},\n    \"jobs_recovered\": {recovered}\n  }}",
+            plain_wall.json(),
+            journaled_wall.json(),
+            overhead.json(),
         )
     } else {
         println!("\n(journal phase skipped: external daemon)");

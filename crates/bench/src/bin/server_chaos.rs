@@ -29,7 +29,7 @@ use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use yoso_bench::{bench_meta_json, run_main, usage, Args};
+use yoso_bench::{bench_meta_json, run_main, usage, Args, TempDir};
 use yoso_chaos::{FaultKind, FaultPlan, FaultRule};
 use yoso_client::{Client, ResilientClient, RetryPolicy};
 use yoso_core::error::Error;
@@ -287,8 +287,9 @@ fn real_main(args: &Args) -> Result<(), Error> {
         .unwrap_or_else(|| "BENCH_server_chaos.json".into());
     args.configure_threads();
 
-    let scratch = std::env::temp_dir().join(format!("yoso_server_chaos_{}", std::process::id()));
-    std::fs::create_dir_all(&scratch)
+    // Declared before any daemon, so it is dropped (and removed) after
+    // every daemon is killed, on every exit path.
+    let scratch = TempDir::new("yoso_server_chaos")
         .map_err(|e| Error::InvalidConfig(format!("scratch dir: {e}")))?;
 
     // Baselines for every session, computed chaos-free in this process.
@@ -319,7 +320,7 @@ fn real_main(args: &Args) -> Result<(), Error> {
         .push(FaultRule::rate(FaultKind::GarbageFrame, 0.06));
     plan.rules
         .push(FaultRule::rate(FaultKind::Stall, 0.05).delay_ms(5));
-    let plan_path = scratch.join("net_faults.plan");
+    let plan_path = scratch.path().join("net_faults.plan");
     plan.save(&plan_path)
         .map_err(|e| Error::InvalidConfig(format!("write plan: {e}")))?;
     let daemon = Daemon::spawn(&[
@@ -355,7 +356,7 @@ fn real_main(args: &Args) -> Result<(), Error> {
     // mid-run and a relaunch on the same port + root must recover every
     // job from the write-ahead journal.
     println!("\n=== phase 3: kill -9 recovery drill ===");
-    let root = scratch.join("drill_root");
+    let root = scratch.path().join("drill_root");
     std::fs::create_dir_all(&root).map_err(|e| Error::InvalidConfig(format!("drill root: {e}")))?;
     let mut drill_specs = Vec::new();
     for t in 0..tenants {
@@ -446,7 +447,6 @@ fn real_main(args: &Args) -> Result<(), Error> {
     );
     drop(admin);
     daemon.stop();
-    let _ = std::fs::remove_dir_all(&scratch);
 
     let meta = bench_meta_json(2);
     let json = format!(

@@ -12,18 +12,25 @@
 //! | `fig7_normalized` | Fig. 7 — normalized energy/latency bars |
 //! | `ablations` | design-choice ablations called out in DESIGN.md |
 //!
-//! Criterion benches (`cargo bench -p yoso-bench`) quantify the §III-E
-//! speedup claims (GP predictor vs exact simulation, HyperNet inheritance
-//! vs standalone training).
+//! The micro-benchmarks are bins too. `bench_kernels` times the GEMM
+//! kernels and candidate scoring, including the one-shot cost claim
+//! (inherited-weight scoring against one epoch of standalone training).
+//! `bench_parallel` times the evaluation pipeline and the §III-E claim
+//! (GP prediction against exact and fast simulation per candidate).
+//! Both, and loadgen's journal phase, time through one timer,
+//! [`interleaved`], and write `BENCH_*.json` under [`results_dir`],
+//! every timed entry with its [`Spread`].
 //!
 //! This library hosts the small shared utilities: CLI flag parsing, CSV
-//! output under `results/`, and aligned table printing.
+//! output under `results/`, the timer, a self-removing scratch
+//! directory, and aligned table printing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// Returns (and creates) the `results/` directory next to the workspace
 /// root (or under `YOSO_RESULTS_DIR` if set).
@@ -51,6 +58,142 @@ pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> PathBuf {
     }
     fs::write(&path, out).expect("write csv");
     path
+}
+
+/// `{rounds, min, median, max}` of a set of per-round samples.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// Number of samples.
+    pub rounds: usize,
+    /// Smallest sample: the quiet-slot floor a best-of-N gate reads.
+    pub min: f64,
+    /// Median sample (the mean of the middle two for an even count).
+    pub median: f64,
+    /// Largest sample.
+    pub max: f64,
+}
+
+impl Spread {
+    /// The spread of `samples`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is empty.
+    pub fn of(samples: &[f64]) -> Spread {
+        assert!(!samples.is_empty(), "spread of no samples");
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let n = sorted.len();
+        Spread {
+            rounds: n,
+            min: sorted[0],
+            median: (sorted[(n - 1) / 2] + sorted[n / 2]) / 2.0,
+            max: sorted[n - 1],
+        }
+    }
+
+    /// Every sample multiplied by `factor` (a unit change, or a round's
+    /// time divided over the items it covered). `factor` must be
+    /// positive, so the order is kept.
+    pub fn scaled(self, factor: f64) -> Spread {
+        Spread {
+            min: self.min * factor,
+            median: self.median * factor,
+            max: self.max * factor,
+            ..self
+        }
+    }
+
+    /// The spread as a JSON object, three decimals per figure.
+    pub fn json(&self) -> String {
+        format!(
+            "{{ \"rounds\": {}, \"min\": {:.3}, \"median\": {:.3}, \"max\": {:.3} }}",
+            self.rounds, self.min, self.median, self.max
+        )
+    }
+}
+
+/// One side of an [`interleaved`] measurement.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Timing {
+    /// Wall time of each timed round, in ms, in round order.
+    pub samples_ms: Vec<f64>,
+    /// The spread of `samples_ms`.
+    pub ms: Spread,
+}
+
+/// Times `sides` against each other. Each side first runs once
+/// untimed, in order, as a warm-up. Then each of `rounds` timed rounds
+/// runs every side once, starting at side `round % N` and going on in
+/// order, so with two sides the one that goes first alternates. A load
+/// spike on a shared host thus lands on every side alike, where
+/// back-to-back windows would charge it to whichever side ran then.
+///
+/// Returns one [`Timing`] per side, in `sides` order. A side that must
+/// start from a known state (a cleared cache, say) sets it up inside
+/// its own call, which the round then times too.
+///
+/// # Errors
+///
+/// The first error a side returns, warm-up included; nothing runs after
+/// it.
+///
+/// # Panics
+///
+/// Panics if `rounds` is 0.
+pub fn interleaved<const N: usize>(
+    rounds: usize,
+    mut sides: [&mut dyn FnMut() -> Result<(), yoso_core::Error>; N],
+) -> Result<[Timing; N], yoso_core::Error> {
+    assert!(rounds > 0, "interleaved timing needs at least one round");
+    for side in &mut sides {
+        side()?;
+    }
+    let mut samples: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(rounds));
+    for round in 0..rounds {
+        for i in 0..N {
+            let side = (round + i) % N;
+            let start = Instant::now();
+            sides[side]()?;
+            samples[side].push(start.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    Ok(samples.map(|samples_ms| Timing {
+        ms: Spread::of(&samples_ms),
+        samples_ms,
+    }))
+}
+
+/// A scratch directory, `<temp dir>/<name>_<pid>`, removed with its
+/// contents when dropped, so a bench cleans up on every exit path:
+/// success, an error return or a panic.
+#[derive(Debug)]
+pub struct TempDir(PathBuf);
+
+impl TempDir {
+    /// Creates the directory, first removing any left over from an
+    /// earlier process with the same id.
+    ///
+    /// # Errors
+    ///
+    /// The I/O error if the directory cannot be created.
+    pub fn new(name: &str) -> std::io::Result<TempDir> {
+        let path = std::env::temp_dir().join(format!("{name}_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&path);
+        fs::create_dir_all(&path)?;
+        Ok(TempDir(path))
+    }
+
+    /// The directory's path.
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Reads a CSV produced by [`write_csv`]; returns (header, rows).
@@ -683,6 +826,107 @@ mod tests {
             Some(std::path::PathBuf::from("/tmp/front.csv"))
         );
         assert_eq!(args(fig6, &[]).pareto_out(), None);
+    }
+
+    /// Fake sides that log each call, for the timer's tests.
+    fn logging_side<'a>(
+        log: &'a std::cell::RefCell<String>,
+        name: char,
+    ) -> impl FnMut() -> Result<(), yoso_core::Error> + 'a {
+        move || {
+            log.borrow_mut().push(name);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn interleaved_warms_each_side_once_then_alternates_which_goes_first() {
+        let log = std::cell::RefCell::new(String::new());
+        let [a, b] = interleaved(
+            5,
+            [&mut logging_side(&log, 'a'), &mut logging_side(&log, 'b')],
+        )
+        .unwrap();
+        // Warm-up, then rounds 0..5.
+        assert_eq!(log.take(), ["ab", "ab", "ba", "ab", "ba", "ab"].concat());
+        for t in [&a, &b] {
+            assert_eq!(t.samples_ms.len(), 5);
+            assert_eq!(t.ms, Spread::of(&t.samples_ms));
+        }
+
+        let _ = interleaved(
+            3,
+            [
+                &mut logging_side(&log, 'a'),
+                &mut logging_side(&log, 'b'),
+                &mut logging_side(&log, 'c'),
+            ],
+        )
+        .unwrap();
+        assert_eq!(log.take(), ["abc", "abc", "bca", "cab"].concat());
+    }
+
+    #[test]
+    fn interleaved_returns_a_sides_error_and_stops() {
+        let log = std::cell::RefCell::new(String::new());
+        let mut calls = 0;
+        let mut failing = || {
+            calls += 1;
+            log.borrow_mut().push('b');
+            if calls == 3 {
+                return Err(yoso_core::Error::InvalidConfig("side failed".into()));
+            }
+            Ok(())
+        };
+        let err = interleaved(4, [&mut logging_side(&log, 'a'), &mut failing]).unwrap_err();
+        assert!(err.to_string().contains("side failed"), "{err}");
+        // Warm-up, round 0, then round 1 starts with the failing side.
+        assert_eq!(log.take(), "ababb");
+
+        let mut broken = || Err(yoso_core::Error::InvalidConfig("no warm-up".into()));
+        assert!(interleaved(4, [&mut broken, &mut logging_side(&log, 'a')]).is_err());
+        assert_eq!(log.take(), "");
+    }
+
+    #[test]
+    fn spread_orders_min_median_max() {
+        let odd = Spread::of(&[3.0, 1.0, 2.0]);
+        assert_eq!(
+            (odd.rounds, odd.min, odd.median, odd.max),
+            (3, 1.0, 2.0, 3.0)
+        );
+        let even = Spread::of(&[4.0, 1.0, 2.0, 8.0]);
+        assert_eq!(
+            (even.rounds, even.min, even.median, even.max),
+            (4, 1.0, 3.0, 8.0)
+        );
+        let per_item = even.scaled(0.5);
+        assert_eq!((per_item.rounds, per_item.min, per_item.max), (4, 0.5, 4.0));
+        assert_eq!(
+            per_item.json(),
+            "{ \"rounds\": 4, \"min\": 0.500, \"median\": 1.500, \"max\": 4.000 }"
+        );
+        let mut spin = || {
+            std::hint::black_box((0..1000).sum::<u64>());
+            Ok(())
+        };
+        let [t] = interleaved(9, [&mut spin]).unwrap();
+        assert_eq!(t.ms.rounds, 9);
+        assert!(
+            t.ms.min <= t.ms.median && t.ms.median <= t.ms.max,
+            "{:?}",
+            t.ms
+        );
+    }
+
+    #[test]
+    fn temp_dir_is_removed_with_its_contents_on_drop() {
+        let dir = TempDir::new("yoso_bench_temp_dir_test").unwrap();
+        let path = dir.path().to_path_buf();
+        fs::create_dir_all(path.join("nested")).unwrap();
+        fs::write(path.join("nested/file"), b"x").unwrap();
+        drop(dir);
+        assert!(!path.exists());
     }
 
     #[test]

@@ -140,9 +140,9 @@ impl PerfPredictor {
     ///
     /// Feature extraction (which compiles each genotype) fans out over
     /// the worker pool, and both GPs score the batch through
-    /// [`GaussianProcess::predict_batch`] — one blocked cross-kernel
-    /// pass each, on the mean path [`predict`](Self::predict) also
-    /// ends in, so results match it bit for bit.
+    /// [`GaussianProcess::predict_batch`], on the mean path
+    /// [`predict`](Self::predict) also ends in, so results match it bit
+    /// for bit.
     pub fn predict_batch(&self, points: &[DesignPoint]) -> Vec<(f64, f64)> {
         let xs: Vec<Vec<f64>> = yoso_pool::parallel_map(points.len(), 0, |i| {
             design_features(&points[i], &self.skeleton)

@@ -111,34 +111,22 @@ impl GaussianProcess {
     /// path, which [`predict_one`](Regressor::predict_one) and
     /// [`predict_batch`](Self::predict_batch) both end in.
     ///
-    /// Computes the cross-kernel matrix `K(Q, X)` in one blocked
-    /// GEMM-style pass — a tile of training rows stays cache-resident
-    /// while every query in the current block visits it. Each query's
-    /// mean accumulates kernel terms in training order into a single
-    /// `f64`, so a query's bits do not depend on the batch it rides in.
-    /// Every query then makes one `GpPredictNan` chaos draw, in query
-    /// order.
+    /// Each query's mean adds its kernel terms in training order into a
+    /// single `f64`, so a query's bits do not depend on the batch it
+    /// rides in. Every query then makes one `GpPredictNan` chaos draw, in
+    /// query order.
     fn mean<X: AsRef<[f64]>>(&self, xs: &[X]) -> Vec<f64> {
-        const Q_BLOCK: usize = 32;
-        const T_BLOCK: usize = 256;
         let Some(ystd) = self.ystd else {
             return vec![0.0; xs.len()];
         };
-        let qs: Vec<Vec<f64>> = xs.iter().map(|x| self.std.transform(x.as_ref())).collect();
-        let mut mean_z = vec![0.0f64; xs.len()];
-        for (qb, mb) in qs.chunks(Q_BLOCK).zip(mean_z.chunks_mut(Q_BLOCK)) {
-            for t0 in (0..self.xs.len()).step_by(T_BLOCK) {
-                let t1 = (t0 + T_BLOCK).min(self.xs.len());
-                for (q, m) in qb.iter().zip(mb.iter_mut()) {
-                    for (xi, a) in self.xs[t0..t1].iter().zip(&self.alpha[t0..t1]) {
-                        *m += self.kernel(q, xi) * a;
-                    }
-                }
-            }
-        }
-        mean_z
-            .into_iter()
-            .map(|z| {
+        xs.iter()
+            .map(|x| {
+                let q = self.std.transform(x.as_ref());
+                let z = self
+                    .xs
+                    .iter()
+                    .zip(&self.alpha)
+                    .fold(0.0, |m, (xi, a)| m + self.kernel(&q, xi) * a);
                 if yoso_chaos::armed()
                     && yoso_chaos::should_fault(yoso_chaos::FaultKind::GpPredictNan)
                 {
@@ -386,8 +374,6 @@ mod tests {
         let (xs, ys) = smooth_data(200, 7);
         let mut gp = GaussianProcess::default_rbf();
         gp.fit(&xs, &ys).unwrap();
-        // 97 queries: not a multiple of either block edge, so partial
-        // query and training tiles are both exercised.
         let (tx, _) = smooth_data(97, 8);
         let batch = gp.predict_batch(&tx);
         assert_eq!(batch.len(), tx.len());

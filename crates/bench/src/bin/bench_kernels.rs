@@ -1,9 +1,8 @@
 //! Measures the compute-kernel speedups this repo claims and writes the
 //! `BENCH_kernels.json` snapshot checked in under `results/`:
 //!
-//! * packed register-tiled SGEMM vs `sgemm_reference` on the im2col
-//!   panel shapes a HyperNet training step actually produces (both on
-//!   one core);
+//! * packed register-tiled SGEMM vs `sgemm_reference` on five fixed
+//!   conv-sized shapes (both on one core);
 //! * HyperNet candidate scoring on the tape-free walk and on the
 //!   training tape, each with its minor page faults per candidate
 //!   (recorded, not asserted);
@@ -11,7 +10,9 @@
 //!   candidate over one 128-image validation batch;
 //! * one epoch of standalone `CellNetwork` training, the cost the
 //!   HyperNet's inherited-weight scoring replaces (the one-shot cost
-//!   claim).
+//!   claim);
+//! * one epoch of `HyperNet` training on `NetworkSkeleton::small()` at
+//!   batch 32, the step `paper_search`'s set-up repeats.
 //!
 //! Every timing comes from [`yoso_bench::interleaved`] rounds and is
 //! recorded as its spread. Target: >= 2x geometric mean on the GEMM
@@ -27,7 +28,7 @@ use yoso_arch::{Genotype, NetworkSkeleton};
 use yoso_bench::{bench_meta_json, interleaved, run_main, usage, Args};
 use yoso_core::error::Error;
 use yoso_dataset::{SynthCifar, SynthCifarConfig};
-use yoso_hypernet::HyperNet;
+use yoso_hypernet::{HyperNet, HyperTrainConfig};
 use yoso_nn::{evaluate_with, forward_network, infer_network, CellNetwork, TrainConfig};
 use yoso_tensor::matmul::{sgemm, sgemm_reference};
 use yoso_tensor::{simd_tier, Graph};
@@ -51,9 +52,11 @@ fn minor_faults() -> u64 {
         .unwrap_or(0)
 }
 
-/// im2col panel shapes from one HyperNet training step on the paper
-/// skeleton (16x16 input, 16 init channels): per-sample GEMMs are
-/// `cout x (cin*k*k) x (hout*wout)`.
+/// Fixed `cout x (cin*k*k) x (hout*wout)` shapes of one sample's conv
+/// GEMM on the paper skeleton (16x16 input, 16 init channels), the
+/// per-sample GEMMs training once ran. They stay fixed so the GEMM gate
+/// compares like with like across changes; convs now multiply runs of
+/// samples in wider GEMMs, and `dW` is a per-sample `a * b^T`.
 const GEMM_SHAPES: &[(&str, usize, usize, usize)] = &[
     ("stem_3x3", 16, 27, 256),
     ("cell_conv3x3", 16, 144, 256),
@@ -175,7 +178,20 @@ fn real_main() -> Result<(), Error> {
         ..TrainConfig::default()
     };
 
-    let [walk, tape, small_walk, train] = interleaved(
+    // One epoch of HyperNet training: a fresh `small` HyperNet, batch 32
+    // over 256 images (8 steps), then the epoch's probe.
+    let hyper_data = SynthCifar::generate(&SynthCifarConfig {
+        train_count: 256,
+        ..SynthCifarConfig::small()
+    });
+    let hyper_cfg = HyperTrainConfig {
+        epochs: 1,
+        batch_size: 32,
+        seed,
+        ..HyperTrainConfig::default()
+    };
+
+    let [walk, tape, small_walk, train, hyper_train] = interleaved(
         ROUNDS,
         [
             &mut || {
@@ -202,12 +218,17 @@ fn real_main() -> Result<(), Error> {
                 black_box(net.train(&data, &train_cfg).final_val_acc);
                 Ok(())
             },
+            &mut || {
+                let mut hyper = HyperNet::new(small.clone(), seed);
+                black_box(hyper.train(&hyper_data, &hyper_cfg));
+                Ok(())
+            },
         ],
     )?;
     let per_candidate = 1.0 / (score_iters * genos.len()) as f64;
     let [walk, tape] = [walk, tape].map(|t| t.ms.scaled(per_candidate));
     let small_walk = small_walk.ms.scaled(1.0 / small_plans.len() as f64);
-    let train = train.ms;
+    let [train, hyper_train] = [train.ms, hyper_train.ms];
     // The first call of each side is its warm-up.
     let [walk_faults, tape_faults] = [&walk_faults, &tape_faults]
         .map(|f| f[1..].iter().sum::<u64>() as f64 * per_candidate / ROUNDS as f64);
@@ -219,16 +240,21 @@ fn real_main() -> Result<(), Error> {
         "small batch-128 walk: {:.1} ms median; one epoch of standalone training: {:.1} ms median",
         small_walk.median, train.median
     );
+    println!(
+        "one epoch of small HyperNet training (batch 32, 8 steps): {:.1} ms median",
+        hyper_train.median
+    );
 
     let meta = bench_meta_json(2);
     let json = format!(
-        "{{\n  \"bench\": \"compute kernels\",\n  {meta},\n  \"gemm\": {{\n    \"calls_per_round\": {iters},\n    \"shapes\": [\n{}\n    ],\n    \"geomean_speedup\": {gemm_geomean:.2}\n  }},\n  \"scoring\": {{\n    \"candidates\": {},\n    \"walk_ms_per_candidate\": {},\n    \"tape_ms_per_candidate\": {},\n    \"walk_minor_faults_per_candidate\": {walk_faults:.0},\n    \"tape_minor_faults_per_candidate\": {tape_faults:.0},\n    \"small_walk_batch128_ms\": {},\n    \"standalone_train_epoch_ms\": {}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"compute kernels\",\n  {meta},\n  \"gemm\": {{\n    \"calls_per_round\": {iters},\n    \"shapes\": [\n{}\n    ],\n    \"geomean_speedup\": {gemm_geomean:.2}\n  }},\n  \"scoring\": {{\n    \"candidates\": {},\n    \"walk_ms_per_candidate\": {},\n    \"tape_ms_per_candidate\": {},\n    \"walk_minor_faults_per_candidate\": {walk_faults:.0},\n    \"tape_minor_faults_per_candidate\": {tape_faults:.0},\n    \"small_walk_batch128_ms\": {},\n    \"standalone_train_epoch_ms\": {},\n    \"hypernet_train_epoch_ms\": {}\n  }}\n}}\n",
         shape_rows.join(",\n"),
         genos.len(),
         walk.json(),
         tape.json(),
         small_walk.json(),
         train.json(),
+        hyper_train.json(),
     );
 
     assert!(

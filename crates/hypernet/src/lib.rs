@@ -49,7 +49,7 @@ use yoso_nn::{
     evaluate_with, forward_network, infer_network, ConvBn, Head, OpWeights, WeightProvider,
 };
 use yoso_persist::{ByteReader, ByteWriter, PersistError, Snapshot};
-use yoso_tensor::{CosineLr, Graph, ParamStore, Scratch, Tensor};
+use yoso_tensor::{CosineLr, Graph, ParamId, ParamStore, Scratch, Tensor};
 
 /// HyperNet training hyper-parameters (paper: SGD momentum 0.9, L2 4e-5,
 /// cosine LR 0.05 → 0.0001, batch 144, 300 epochs — scaled down here).
@@ -267,14 +267,17 @@ impl HyperNet {
         })
     }
 
-    /// Masked SGD step: only parameters with non-zero gradients (the
-    /// sampled path) receive momentum, decay and updates.
-    fn masked_sgd_step(&mut self, lr: f32, momentum: f32, weight_decay: f32) {
+    /// Masked SGD step over the parameters `ids`: only those with
+    /// non-zero gradients (the sampled path) receive momentum, decay and
+    /// updates. The first step allocates a momentum buffer for every
+    /// parameter, sampled or not.
+    fn masked_sgd_step(&mut self, ids: &[ParamId], lr: f32, momentum: f32, weight_decay: f32) {
+        let have = self.velocity.len();
+        let missing = self.store.iter().skip(have);
+        self.velocity
+            .extend(missing.map(|(_, v)| Tensor::zeros(v.shape())));
         let velocity = &mut self.velocity;
-        self.store.for_each_mut(|i, value, grad| {
-            if velocity.len() <= i {
-                velocity.resize_with(i + 1, || Tensor::zeros(value.shape()));
-            }
+        self.store.for_each_of_mut(ids, |i, value, grad| {
             if grad.sq_norm() == 0.0 {
                 return;
             }
@@ -288,7 +291,22 @@ impl HyperNet {
 
     /// Trains the HyperNet with uniform path sampling; returns the
     /// per-epoch history (Fig. 5(a) data).
+    ///
+    /// A step's gradients can be non-zero only on its sampled path, the
+    /// parameters on its tape ([`Graph::param_ids`]). So every gradient
+    /// is zeroed once, and each step zeroes only the previous step's
+    /// path, then clips and updates only its own: the same bits as
+    /// zeroing, clipping and sweeping all of the HyperNet's weights.
     pub fn train(&mut self, data: &SynthCifar, cfg: &HyperTrainConfig) -> Vec<HyperEpochStat> {
+        self.train_sweeping(data, cfg, Sweep::Path)
+    }
+
+    fn train_sweeping(
+        &mut self,
+        data: &SynthCifar,
+        cfg: &HyperTrainConfig,
+        sweep: Sweep,
+    ) -> Vec<HyperEpochStat> {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let steps_per_epoch = (data.train.len() / cfg.batch_size).max(1);
         let sched = CosineLr::new(cfg.lr_max, cfg.lr_min, cfg.epochs * steps_per_epoch);
@@ -296,6 +314,8 @@ impl HyperNet {
         let mut step = 0usize;
         // Biased baseline: one fixed path trained repeatedly.
         let fixed_path = Genotype::random(&mut rng);
+        self.store.zero_grads();
+        let mut path: Vec<ParamId> = Vec::new();
         for epoch in 0..cfg.epochs {
             let mut loss_sum = 0.0f64;
             let batches = data.train.epoch_batches(cfg.batch_size, &mut rng);
@@ -322,10 +342,20 @@ impl HyperNet {
                 let logits = forward_network(&plan, &mut g, &self.store, &provider, images);
                 let loss = g.softmax_cross_entropy(logits, &labels);
                 loss_sum += g.value(loss).data()[0] as f64;
-                self.store.zero_grads();
+                path = match sweep {
+                    Sweep::Path => {
+                        self.store.zero_grads_of(&path);
+                        g.param_ids()
+                    }
+                    #[cfg(test)]
+                    Sweep::Full => {
+                        self.store.zero_grads();
+                        self.store.iter().map(|(id, _)| id).collect()
+                    }
+                };
                 self.scratch = g.backward_scratch(loss, &mut self.store);
-                self.store.clip_grad_norm(cfg.grad_clip);
-                self.masked_sgd_step(lr, cfg.momentum, cfg.weight_decay);
+                self.store.clip_grad_norm_of(&path, cfg.grad_clip);
+                self.masked_sgd_step(&path, lr, cfg.momentum, cfg.weight_decay);
             }
             let probe = Genotype::random(&mut rng);
             let sampled_val_acc = self.evaluate_genotype(&probe, &data.val, cfg.batch_size.max(32));
@@ -339,13 +369,26 @@ impl HyperNet {
     }
 }
 
+/// Which parameters a HyperNet training step zeroes, clips and updates.
+#[derive(Debug, Clone, Copy)]
+enum Sweep {
+    /// The sampled path: what [`HyperNet::train`] runs.
+    Path,
+    /// Every parameter, as training did before it swept only the path;
+    /// kept to pin the path sweep bit for bit.
+    #[cfg(test)]
+    Full,
+}
+
 // Restore-by-reconstruct, like the controller: `HyperNet::new` allocates
 // the same shape-indexed parameter layout for a given skeleton (its
 // construction loops are deterministic; the seed only affects the
 // initial values), so restore rebuilds the allocation maps from the
 // stored skeleton and overwrites the trained weights and the momentum
 // buffers. A snapshot whose parameter shapes disagree with the
-// reconstructed layout is rejected as `Malformed`.
+// reconstructed layout, or whose momentum buffers are neither absent
+// (never trained) nor one per parameter of its shape, is rejected as
+// `Malformed`.
 impl Snapshot for HyperNet {
     fn snapshot(&self, w: &mut ByteWriter) {
         self.skeleton.snapshot(w);
@@ -378,6 +421,23 @@ impl Snapshot for HyperNet {
                     id.index(),
                     value.shape(),
                     hyper.store.value(id).shape()
+                )));
+            }
+        }
+        if !velocity.is_empty() && velocity.len() != store.param_count() {
+            return Err(PersistError::Malformed(format!(
+                "hypernet: snapshot has {} momentum buffers for {} params",
+                velocity.len(),
+                store.param_count()
+            )));
+        }
+        for ((id, value), v) in store.iter().zip(&velocity) {
+            if v.shape() != value.shape() {
+                return Err(PersistError::Malformed(format!(
+                    "hypernet momentum {}: shape {:?} vs param {:?}",
+                    id.index(),
+                    v.shape(),
+                    value.shape()
                 )));
             }
         }
@@ -441,6 +501,75 @@ mod tests {
         assert!(matches!(
             HyperNet::restore(&mut ByteReader::new(&bytes[..bytes.len() - 9])),
             Err(PersistError::Truncated { .. })
+        ));
+    }
+
+    /// Snapshot bytes: weights and momentum buffers.
+    fn snapshot_bytes(hyper: &HyperNet) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        hyper.snapshot(&mut w);
+        w.into_bytes()
+    }
+
+    /// Zeroing, clipping and updating only the sampled path leaves the
+    /// bits of every weight and momentum buffer that a sweep over all
+    /// of them does, with and without augmentation and clipping.
+    #[test]
+    fn path_sweep_matches_full_sweep_bitwise() {
+        let data = tiny_data();
+        for (seed, augment, grad_clip) in [(5, true, 5.0), (6, false, 0.05)] {
+            let cfg = HyperTrainConfig {
+                epochs: 1,
+                batch_size: 48,
+                augment,
+                grad_clip,
+                seed,
+                ..Default::default()
+            };
+            let mut path = HyperNet::new(NetworkSkeleton::tiny(), seed);
+            let mut full = path.clone();
+            path.train_sweeping(&data, &cfg, Sweep::Path);
+            full.train_sweeping(&data, &cfg, Sweep::Full);
+            assert_eq!(path.velocity.len(), path.store.param_count());
+            assert!(
+                snapshot_bytes(&path) == snapshot_bytes(&full),
+                "seed {seed}"
+            );
+        }
+    }
+
+    /// A snapshot whose momentum buffers are neither absent nor one per
+    /// parameter of its shape is refused, not restored to panic at the
+    /// first training step.
+    #[test]
+    fn restore_rejects_malformed_momentum_buffers() {
+        let hyper = HyperNet::new(NetworkSkeleton::tiny(), 1);
+        let with_velocity = |velocity: &[Tensor]| {
+            let mut w = ByteWriter::new();
+            hyper.skeleton.snapshot(&mut w);
+            hyper.store.snapshot(&mut w);
+            w.put_usize(velocity.len());
+            for v in velocity {
+                v.snapshot(&mut w);
+            }
+            HyperNet::restore(&mut ByteReader::new(&w.into_bytes()))
+        };
+        let mut velocity: Vec<Tensor> = hyper
+            .store
+            .iter()
+            .map(|(_, v)| Tensor::zeros(v.shape()))
+            .collect();
+        assert!(with_velocity(&[]).is_ok());
+        assert!(with_velocity(&velocity).is_ok());
+        assert!(matches!(
+            with_velocity(&velocity[1..]),
+            Err(PersistError::Malformed(_))
+        ));
+        let last = velocity.len() - 1;
+        velocity[last] = Tensor::zeros(&[velocity[last].len() + 1]);
+        assert!(matches!(
+            with_velocity(&velocity),
+            Err(PersistError::Malformed(_))
         ));
     }
 

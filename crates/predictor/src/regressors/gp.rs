@@ -238,7 +238,9 @@ impl Snapshot for GaussianProcess {
 }
 
 impl Regressor for GaussianProcess {
+    /// Fits under the `gp.fit` span, recorded while tracing is on.
     fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), FitError> {
+        let _span = yoso_trace::span("gp.fit");
         // Chaos hook: a deterministic stand-in for the real-world failure
         // mode (ill-conditioned kernel matrix → Cholesky breakdown).
         if yoso_chaos::armed() && yoso_chaos::should_fault(yoso_chaos::FaultKind::GpFitFail) {

@@ -6,7 +6,7 @@
 #![allow(clippy::too_many_arguments)]
 #![allow(clippy::needless_range_loop)]
 
-use crate::matmul::{sgemm, sgemm_a_bt_acc, sgemm_at_b_acc};
+use crate::matmul::{sgemm, sgemm_a_bt_acc_strided, sgemm_at_b_acc};
 use crate::scratch::Scratch;
 use crate::tensor::Tensor;
 use std::ops::Range;
@@ -51,18 +51,19 @@ impl ConvGeom {
     }
 }
 
-/// Floats in one column block of [`conv2d_forward_infer`]: it lowers as
-/// many samples at once as fit their `cin·k·k × hout·wout` columns into
-/// this budget (at least one), so the block stays in cache between the
-/// lowering that writes it and the one GEMM that reads it.
+/// Floats in one column block of the conv forwards: they lower as many
+/// samples at once as fit their `cin·k·k × hout·wout` columns into this
+/// budget (at least one), so the block stays in cache between the
+/// lowering that writes it and the one GEMM that reads it. The tape's
+/// backward walks the same runs.
 const COL_BLOCK: usize = 64 * 1024;
 
 /// Where each tap `(ky, kx)` of a conv or window geometry reads, over a
 /// span of up to `planes` consecutive `h × w` input planes and their
 /// `hout × wout` output planes. The window kernels span the `c` planes of
-/// one sample, the conv lowering one channel's planes across a run of
-/// samples; either way a tap is one pass over every lane of the span,
-/// however small its planes are.
+/// one sample, the conv lowering and its scatter one channel's planes
+/// across a run of samples; either way a tap is one pass over every lane
+/// of the span, however small its planes are.
 ///
 /// Kernels take a table from their [`Scratch`] arena with
 /// [`TapTable::take`] and give it back when done, so a steady-state walk
@@ -203,27 +204,59 @@ impl TapTable {
         debug_assert!(span <= self.lanes && xs.len() == planes * self.hw_in);
         for t in 0..self.taps {
             let valid = &self.valid[t * self.lanes..t * self.lanes + span];
-            match &self.reads {
+            // One call of `update` for both kinds of tap, so it is
+            // compiled (and vectorized) once.
+            let (lanes, src): (_, &[f32]) = match &self.reads {
                 TapReads::Shifted(shifts) => {
-                    let shift = shifts[t];
-                    let lo = (-shift).clamp(0, span as isize) as usize;
-                    let hi = (span as isize - shift).clamp(lo as isize, span as isize) as usize;
-                    let src = if lo < hi {
-                        let start = lo.wrapping_add_signed(shift);
-                        &xs[start..start + (hi - lo)]
-                    } else {
-                        &[]
-                    };
-                    update(t, lo..hi, src, &valid[lo..hi]);
+                    let (lanes, start) = shifted_lanes(shifts[t], span);
+                    let len = lanes.len();
+                    (lanes, &xs[start..start + len])
+                }
+                TapReads::Gathered(index) => {
+                    gather(xs, &index[t * self.lanes..t * self.lanes + span], gathered);
+                    (0..span, &gathered[..span])
+                }
+            };
+            update(t, lanes.clone(), src, &valid[lanes]);
+        }
+    }
+
+    /// The adjoint of [`for_each_tap`](Self::for_each_tap): calls
+    /// `update(t, lanes, reads, valid)` for each tap `t` of `taps`, in
+    /// the order given, where `reads[i]` is the input that lane
+    /// `lanes.start + i` reads, now mutable. A shifted tap passes a
+    /// slice of `xs`; a gathered tap is copied into `gathered`, updated
+    /// there, and its valid lanes written back. No two valid lanes of a
+    /// tap read the same input, so each input takes one update per tap,
+    /// in the order of `taps`.
+    #[inline(always)]
+    fn for_each_tap_mut(
+        &self,
+        xs: &mut [f32],
+        planes: usize,
+        gathered: &mut [f32],
+        taps: impl Iterator<Item = usize>,
+        mut update: impl FnMut(usize, Range<usize>, &mut [f32], &[bool]),
+    ) {
+        let span = planes * self.hw_out;
+        debug_assert!(span <= self.lanes && xs.len() == planes * self.hw_in);
+        for t in taps {
+            let valid = &self.valid[t * self.lanes..t * self.lanes + span];
+            let (lanes, dst, index): (_, &mut [f32], &[u32]) = match &self.reads {
+                TapReads::Shifted(shifts) => {
+                    let (lanes, start) = shifted_lanes(shifts[t], span);
+                    let len = lanes.len();
+                    (lanes, &mut xs[start..start + len], &[])
                 }
                 TapReads::Gathered(index) => {
                     let index = &index[t * self.lanes..t * self.lanes + span];
-                    for (g, &i) in gathered.iter_mut().zip(index) {
-                        *g = xs[i as usize];
-                    }
-                    update(t, 0..span, &gathered[..span], valid);
+                    gather(xs, index, gathered);
+                    (0..span, &mut gathered[..span], index)
                 }
-            }
+            };
+            update(t, lanes.clone(), dst, &valid[lanes]);
+            // A gathered tap's lanes go back to their inputs.
+            scatter_valid(&gathered[..index.len()], index, valid, xs);
         }
     }
 
@@ -234,6 +267,41 @@ impl TapTable {
         let (iy, ix) = (oy * s + t / k - pad, ox * s + t % k - pad);
         (iy * self.w + ix) as u32
     }
+}
+
+/// Copies `xs[index[i]]` into `gathered[i]` for every lane of `index`.
+/// Kept out of line: inlined beside a kernel's update loop, it led the
+/// compiler to emit that loop unvectorized.
+#[inline(never)]
+fn gather(xs: &[f32], index: &[u32], gathered: &mut [f32]) {
+    for (g, &i) in gathered.iter_mut().zip(index) {
+        *g = xs[i as usize];
+    }
+}
+
+/// Writes `gathered[i]` back to `xs[index[i]]` for every valid lane
+/// (the inverse of [`gather`] on those lanes). Out of line like
+/// [`gather`].
+#[inline(never)]
+fn scatter_valid(gathered: &[f32], index: &[u32], valid: &[bool], xs: &mut [f32]) {
+    for ((&g, &i), &m) in gathered.iter().zip(index).zip(valid) {
+        let d = &mut xs[i as usize];
+        *d = if m { g } else { *d };
+    }
+}
+
+/// The lanes of a shifted tap over a span of `span` lanes whose read,
+/// shifted by `shift`, stays inside the span, and where those reads
+/// start.
+fn shifted_lanes(shift: isize, span: usize) -> (Range<usize>, usize) {
+    let lo = (-shift).clamp(0, span as isize) as usize;
+    let hi = (span as isize - shift).clamp(lo as isize, span as isize) as usize;
+    let start = if lo < hi {
+        lo.wrapping_add_signed(shift)
+    } else {
+        0
+    };
+    (lo..hi, start)
 }
 
 /// Lowers a run of `g` samples into the column block
@@ -300,40 +368,51 @@ fn lower(
     }
 }
 
-/// Scatters a column-matrix gradient back to the input gradient (adjoint of
-/// a one-sample [`lower_run`]): `dx[c, h, w] += col2im(dcol)`.
-fn col2im_acc(
+/// Adds the column-block gradient `dcol[c·k·k, g·hout·wout]` of a run of
+/// `g` samples into the run's channel-major input gradient `dxt` (the
+/// adjoint of [`lower_run`]): each row is one masked pass of its tap over
+/// its channel's planes, taps in `(ky, kx)` order, which is the order in
+/// which a per-sample `col2im` added each input's terms.
+fn scatter_run(
     dcol: &[f32],
+    g: usize,
     c: usize,
-    h: usize,
-    w: usize,
-    g: ConvGeom,
-    hout: usize,
-    wout: usize,
-    dx: &mut [f32],
+    table: &TapTable,
+    gathered: &mut [f32],
+    dxt: &mut [f32],
 ) {
-    let k = g.k;
-    let hw_out = hout * wout;
+    let (span_in, ncol) = (g * table.hw_in, g * table.hw_out);
+    debug_assert_eq!(dxt.len(), c * span_in);
+    debug_assert_eq!(dcol.len(), c * table.taps * ncol);
+    let row_block = table.taps * ncol;
     for ch in 0..c {
-        let dxc = &mut dx[ch * h * w..(ch + 1) * h * w];
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = ((ch * k + ky) * k + kx) * hw_out;
-                for oy in 0..hout {
-                    let iy = (oy * g.stride + ky) as isize - g.pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let src = &dcol[row + oy * wout..row + (oy + 1) * wout];
-                    let drow = &mut dxc[iy as usize * w..(iy as usize + 1) * w];
-                    for (ox, v) in src.iter().enumerate() {
-                        let ix = (ox * g.stride + kx) as isize - g.pad as isize;
-                        if ix >= 0 && (ix as usize) < w {
-                            drow[ix as usize] += v;
-                        }
-                    }
-                }
+        let xs = &mut dxt[ch * span_in..(ch + 1) * span_in];
+        let rows = &dcol[ch * row_block..(ch + 1) * row_block];
+        table.for_each_tap_mut(xs, g, gathered, 0..table.taps, |t, lanes, dv, valid| {
+            let row = &rows[t * ncol..(t + 1) * ncol];
+            for ((d, &v), &m) in dv.iter_mut().zip(&row[lanes]).zip(valid) {
+                *d = if m { *d + v } else { *d };
             }
+        });
+    }
+}
+
+/// Copies a run of `g` samples, each `c` planes of `hw` lanes, from
+/// sample-major `src` to channel-major `dst`: plane `(s, ch)` moves to
+/// `ch·g + s`.
+fn to_channel_major(src: &[f32], g: usize, c: usize, hw: usize, dst: &mut [f32]) {
+    for (s, sample) in src.chunks_exact(c * hw).enumerate() {
+        for (ch, plane) in sample.chunks_exact(hw).enumerate() {
+            dst[(ch * g + s) * hw..][..hw].copy_from_slice(plane);
+        }
+    }
+}
+
+/// The inverse of [`to_channel_major`].
+fn from_channel_major(src: &[f32], g: usize, c: usize, hw: usize, dst: &mut [f32]) {
+    for (s, sample) in dst.chunks_exact_mut(c * hw).enumerate() {
+        for (ch, plane) in sample.chunks_exact_mut(hw).enumerate() {
+            plane.copy_from_slice(&src[(ch * g + s) * hw..][..hw]);
         }
     }
 }
@@ -341,8 +420,8 @@ fn col2im_acc(
 /// Forward 2-D convolution.
 ///
 /// `x` is `[n, cin, h, w]`, `weight` is `[cout, cin, k, k]`; returns
-/// `[n, cout, hout, wout]` along with the per-sample column matrices the
-/// backward pass reads.
+/// `[n, cout, hout, wout]` along with the column blocks the backward
+/// pass reads.
 ///
 /// # Panics
 ///
@@ -352,16 +431,15 @@ pub fn conv2d_forward(x: &Tensor, weight: &Tensor, geom: ConvGeom) -> (Tensor, V
 }
 
 /// Forward 2-D convolution with an explicit workspace arena and optional
-/// fused input ReLU.
+/// fused input ReLU, for the tape.
 ///
 /// Like [`conv2d_forward`], but the column buffer is taken from `scratch`
 /// (return it with [`Scratch::give`] after the backward pass to make the
 /// next call allocation-free), and `relu_input = true` applies
 /// `max(0, ·)` to the input while lowering, so `relu(x)` never needs to
-/// be materialized. Each sample is lowered on its own (a run of one) into
-/// its `cin·k·k × hout·wout` slice of the returned columns, which the
-/// backward pass reads per sample, and multiplied by `weight` straight
-/// into its slice of the output.
+/// be materialized. The batch runs as in [`conv2d_forward_infer`], and
+/// the returned columns hold every run's column block, run after run,
+/// for [`conv2d_backward_scratch`].
 ///
 /// # Panics
 ///
@@ -374,22 +452,13 @@ pub fn conv2d_forward_scratch(
     scratch: &mut Scratch,
 ) -> (Tensor, Vec<f32>) {
     let d = ConvDims::of(x, weight, geom);
-    let (col_len, in_len, out_len) = (d.col_len(), d.in_len(), d.out_len());
     // The lowering overwrites every element (padding is written as an
     // explicit zero), so the recycled buffer's contents don't matter.
-    let mut cols = scratch.take(d.n * col_len);
-    let mut out = Tensor::zeros(&[d.n, d.cout, d.hout, d.wout]);
-    let table = d.tap_table(1, scratch);
-    let mut gathered = scratch.take(table.gather_len());
-    for i in 0..d.n {
-        let col = &mut cols[i * col_len..(i + 1) * col_len];
-        let xi = &x.data()[i * in_len..(i + 1) * in_len];
-        lower(xi, 1, d.cin, &table, relu_input, &mut gathered, col);
-        let oi = &mut out.data_mut()[i * out_len..(i + 1) * out_len];
-        sgemm(d.cout, d.ckk(), d.hout * d.wout, weight.data(), col, oi);
-    }
-    scratch.give(gathered);
-    table.give(scratch);
+    let mut cols = scratch.take(d.n * d.col_len());
+    let mut out = Tensor::zeros(&d.out_shape());
+    conv_runs(
+        x, weight, &d, relu_input, true, &mut cols, &mut out, scratch,
+    );
     (out, cols)
 }
 
@@ -398,8 +467,8 @@ pub fn conv2d_forward_scratch(
 /// samples whose columns fit a 64 Ki-float block, each run is lowered
 /// into one `cin·k·k × g·hout·wout` block and multiplied by `weight` in
 /// one GEMM, and the GEMM's `cout × g·hout·wout` result is copied into
-/// the NCHW output. No columns are kept for a backward pass; the column
-/// block and the GEMM result go back to `scratch` on return, and the
+/// the NCHW output. No columns are kept for a backward pass: one column
+/// block serves every run and goes back to `scratch` on return, and the
 /// output is drawn from it too.
 ///
 /// Widening the GEMM moves no bit: each output element is the same
@@ -417,49 +486,65 @@ pub fn conv2d_forward_infer(
     scratch: &mut Scratch,
 ) -> Tensor {
     let d = ConvDims::of(x, weight, geom);
+    let mut col = scratch.take(d.run() * d.col_len());
+    // Every output element is copied from a GEMM result, so the recycled
+    // buffer's contents don't matter.
+    let shape = d.out_shape();
+    let mut out = Tensor::from_vec(&shape, scratch.take(shape.iter().product()));
+    conv_runs(
+        x, weight, &d, relu_input, false, &mut col, &mut out, scratch,
+    );
+    scratch.give(col);
+    out
+}
+
+/// The run loop of both conv forwards. Each run of `g` samples is copied
+/// channel-major, lowered by [`lower_run`] into one column block,
+/// multiplied by `weight` in one `sgemm` and its `[cout, g, hout·wout]`
+/// product copied into the `[g, cout, hout·wout]` output. With `keep`,
+/// `cols` holds the whole batch's columns and each run writes its own
+/// block (`cin·k·k × g·hout·wout`, at sample `s0`'s offset); without it,
+/// every run overwrites the one block `cols` holds.
+fn conv_runs(
+    x: &Tensor,
+    weight: &Tensor,
+    d: &ConvDims,
+    relu_input: bool,
+    keep: bool,
+    cols: &mut [f32],
+    out: &mut Tensor,
+    scratch: &mut Scratch,
+) {
     let (col_len, in_len, out_len) = (d.col_len(), d.in_len(), d.out_len());
-    let (hw_in, hw_out) = (d.h * d.w, d.hout * d.wout);
-    let run = (COL_BLOCK / col_len.max(1)).clamp(1, d.n.max(1));
+    let (hw_in, hw_out, run) = (d.h * d.w, d.hout * d.wout, d.run());
     let table = d.tap_table(run, scratch);
     let mut xt = scratch.take(run * in_len);
     let mut gathered = scratch.take(table.gather_len());
-    let mut col = scratch.take(run * col_len);
     let mut prod = scratch.take(run * out_len);
-    // Every output element is copied from a GEMM result, so the recycled
-    // buffer's contents don't matter.
-    let shape = [d.n, d.cout, d.hout, d.wout];
-    let mut out = Tensor::from_vec(&shape, scratch.take(shape.iter().product()));
     for s0 in (0..d.n).step_by(run) {
         let g = run.min(d.n - s0);
+        let block = if keep { s0 * col_len } else { 0 };
         let (xt, col, prod) = (
             &mut xt[..g * in_len],
-            &mut col[..g * col_len],
+            &mut cols[block..block + g * col_len],
             &mut prod[..g * out_len],
         );
-        // The run channel-major: plane `(s, ch)` moves to `ch·g + s`.
-        for (s, xs) in x.data()[s0 * in_len..(s0 + g) * in_len]
-            .chunks_exact(in_len)
-            .enumerate()
-        {
-            for (ch, plane) in xs.chunks_exact(hw_in).enumerate() {
-                xt[(ch * g + s) * hw_in..(ch * g + s + 1) * hw_in].copy_from_slice(plane);
-            }
-        }
+        to_channel_major(
+            &x.data()[s0 * in_len..(s0 + g) * in_len],
+            g,
+            d.cin,
+            hw_in,
+            xt,
+        );
         lower(xt, g, d.cin, &table, relu_input, &mut gathered, col);
         sgemm(d.cout, d.ckk(), g * hw_out, weight.data(), col, prod);
-        // `prod` is `[cout, g, hout·wout]`; the output is `[g, cout, hout·wout]`.
         let or = &mut out.data_mut()[s0 * out_len..(s0 + g) * out_len];
-        for (co, prow) in prod.chunks_exact(g * hw_out).enumerate() {
-            for (s, plane) in prow.chunks_exact(hw_out).enumerate() {
-                or[s * out_len + co * hw_out..][..hw_out].copy_from_slice(plane);
-            }
-        }
+        from_channel_major(prod, g, d.cout, hw_out, or);
     }
-    for buf in [xt, gathered, col, prod] {
+    for buf in [xt, gathered, prod] {
         scratch.give(buf);
     }
     table.give(scratch);
-    out
 }
 
 /// Shape-checked dimensions of one conv forward.
@@ -503,6 +588,17 @@ impl ConvDims {
         TapTable::take(scratch, planes, self.h, self.w, self.geom)
     }
 
+    /// Samples per run: as many as fit their columns into one
+    /// [`COL_BLOCK`], at least one.
+    fn run(&self) -> usize {
+        (COL_BLOCK / self.col_len().max(1)).clamp(1, self.n.max(1))
+    }
+
+    /// The output shape, `[n, cout, hout, wout]`.
+    fn out_shape(&self) -> [usize; 4] {
+        [self.n, self.cout, self.hout, self.wout]
+    }
+
     /// GEMM depth, `cin·k·k`.
     fn ckk(&self) -> usize {
         self.cin * self.geom.k * self.geom.k
@@ -535,8 +631,18 @@ pub fn conv2d_backward(
     conv2d_backward_scratch(x, weight, geom, cols, dout, &mut Scratch::new())
 }
 
-/// Backward 2-D convolution with an explicit workspace arena for the
-/// per-sample `dcol` buffer. Returns `(dx, dweight)`.
+/// Backward 2-D convolution over the column blocks of
+/// [`conv2d_forward_scratch`], with an explicit workspace arena. Returns
+/// `(dx, dweight)`.
+///
+/// It walks the forward's runs. A run's `dcol` is one GEMM,
+/// `Wᵀ · dout`, over the run's channel-major `dout`: its depth is still
+/// `cout`, so each element is the chain a per-sample GEMM computed. The
+/// run's input gradient is `scatter_run` of `dcol`, whose taps add
+/// into each input in the per-sample `col2im`'s order. `dW` stays one
+/// `sgemm_a_bt_acc` per sample, in sample order: its bits are a sum of
+/// per-sample GEMMs, each over one sample's columns, read in place out of
+/// the run's block, where they sit `g·hout·wout` floats apart.
 pub fn conv2d_backward_scratch(
     x: &Tensor,
     weight: &Tensor,
@@ -545,37 +651,53 @@ pub fn conv2d_backward_scratch(
     dout: &Tensor,
     scratch: &mut Scratch,
 ) -> (Tensor, Tensor) {
-    let (n, cin, h, w) = shape4(x);
-    let cout = weight.shape()[0];
-    let hout = geom.out_dim(h);
-    let wout = geom.out_dim(w);
-    let ckk = cin * geom.k * geom.k;
-    let hw_out = hout * wout;
+    let d = ConvDims::of(x, weight, geom);
+    let (col_len, in_len, out_len, ckk) = (d.col_len(), d.in_len(), d.out_len(), d.ckk());
+    let (hw_in, hw_out, run) = (d.h * d.w, d.hout * d.wout, d.run());
+    assert_eq!(cols.len(), d.n * col_len, "conv backward: column blocks");
+    assert_eq!(dout.shape(), d.out_shape(), "conv backward: dout shape");
+    let table = d.tap_table(run, scratch);
+    let mut gathered = scratch.take(table.gather_len());
+    let mut dout_t = scratch.take(run * out_len);
+    let mut dcol = scratch.take(run * col_len);
+    let mut dxt = scratch.take(run * in_len);
     let mut dx = Tensor::zeros(x.shape());
     let mut dw = Tensor::zeros(weight.shape());
-    let mut dcol = scratch.take(ckk * hw_out);
-    for i in 0..n {
-        let col = &cols[i * ckk * hw_out..(i + 1) * ckk * hw_out];
-        let doi = &dout.data()[i * cout * hw_out..(i + 1) * cout * hw_out];
-        // dW += dout_i (cout x hw) * col_i^T (hw x ckk)
-        sgemm_a_bt_acc(cout, hw_out, ckk, doi, col, dw.data_mut());
-        // dcol = W^T (ckk x cout) * dout_i (cout x hw)
-        for v in dcol.iter_mut() {
-            *v = 0.0;
+    for s0 in (0..d.n).step_by(run) {
+        let g = run.min(d.n - s0);
+        let block = &cols[s0 * col_len..(s0 + g) * col_len];
+        let dout_run = &dout.data()[s0 * out_len..(s0 + g) * out_len];
+        // dW += dout_s (cout × hw) · col_sᵀ (hw × ckk), sample by sample.
+        for (s, dout_s) in dout_run.chunks_exact(out_len).enumerate() {
+            let col_s = &block[s * hw_out..];
+            sgemm_a_bt_acc_strided(
+                d.cout,
+                hw_out,
+                ckk,
+                dout_s,
+                col_s,
+                g * hw_out,
+                dw.data_mut(),
+            );
         }
-        sgemm_at_b_acc(ckk, cout, hw_out, weight.data(), doi, &mut dcol);
-        col2im_acc(
-            &dcol,
-            cin,
-            h,
-            w,
-            geom,
-            hout,
-            wout,
-            &mut dx.data_mut()[i * cin * h * w..(i + 1) * cin * h * w],
+        let (dout_t, dcol, dxt) = (
+            &mut dout_t[..g * out_len],
+            &mut dcol[..g * col_len],
+            &mut dxt[..g * in_len],
         );
+        // dcol = Wᵀ (ckk × cout) · dout (cout × g·hw), from `+0.0`.
+        to_channel_major(dout_run, g, d.cout, hw_out, dout_t);
+        dcol.fill(0.0);
+        sgemm_at_b_acc(ckk, d.cout, g * hw_out, weight.data(), dout_t, dcol);
+        dxt.fill(0.0);
+        scatter_run(dcol, g, d.cin, &table, &mut gathered, dxt);
+        let dx_run = &mut dx.data_mut()[s0 * in_len..(s0 + g) * in_len];
+        from_channel_major(dxt, g, d.cin, hw_in, dx_run);
     }
-    scratch.give(dcol);
+    for buf in [gathered, dout_t, dcol, dxt] {
+        scratch.give(buf);
+    }
+    table.give(scratch);
     (dx, dw)
 }
 
@@ -650,16 +772,8 @@ fn dwconv2d_acc(
     assert_eq!(ws, &[c, geom.k, geom.k], "dwconv weight shape");
     let (hout, wout) = (out.shape()[2], out.shape()[3]);
     let taps = TapTable::take(scratch, c, h, w, geom);
-    let (kk, span, hw_out, in_len) = (taps.taps, c * hout * wout, hout * wout, c * h * w);
-    // Each lane's weight for each tap: channel `ch`'s tap weight across
-    // its plane.
-    let mut lane_w = scratch.take(kk * span);
-    for t in 0..kk {
-        for ch in 0..c {
-            let wv = weight.data()[ch * kk + t];
-            lane_w[t * span + ch * hw_out..t * span + (ch + 1) * hw_out].fill(wv);
-        }
-    }
+    let (span, in_len) = (c * hout * wout, c * h * w);
+    let lane_w = lane_weights(weight, &taps, c, scratch);
     let mut gathered = scratch.take(taps.gather_len());
     for i in 0..n {
         let xs = &x.data()[i * in_len..(i + 1) * in_len];
@@ -677,64 +791,112 @@ fn dwconv2d_acc(
     out
 }
 
-/// Backward depthwise convolution. Returns `(dx, dweight)`.
+/// Each lane's weight for each tap of a depthwise convolution, `taps`
+/// rows of `c·hout·wout` lanes: channel `ch`'s tap weight across its
+/// plane. Drawn from `scratch`; give it back when done.
+fn lane_weights(weight: &Tensor, taps: &TapTable, c: usize, scratch: &mut Scratch) -> Vec<f32> {
+    let (kk, hw_out) = (taps.taps, taps.hw_out);
+    let span = c * hw_out;
+    let mut lane_w = scratch.take(kk * span);
+    for (t, row) in lane_w.chunks_exact_mut(span).enumerate() {
+        for (ch, plane) in row.chunks_exact_mut(hw_out).enumerate() {
+            plane.fill(weight.data()[ch * kk + t]);
+        }
+    }
+    lane_w
+}
+
+/// Sums each `hw`-lane plane of `planes` into its entry of `sums`, lane
+/// by lane from `+0.0`. Eight planes' sums advance side by side, so the
+/// adds of one plane's chain overlap the others' instead of waiting on
+/// each other.
+fn plane_sums(planes: &[f32], hw: usize, sums: &mut [f32]) {
+    const SIDE: usize = 8;
+    let mut groups = planes.chunks_exact(SIDE * hw);
+    let mut outs = sums.chunks_exact_mut(SIDE);
+    for (group, out) in (&mut groups).zip(&mut outs) {
+        let mut acc = [0.0f32; SIDE];
+        let lanes: [&[f32]; SIDE] = std::array::from_fn(|p| &group[p * hw..(p + 1) * hw]);
+        for o in 0..hw {
+            for p in 0..SIDE {
+                acc[p] += lanes[p][o];
+            }
+        }
+        out.copy_from_slice(&acc);
+    }
+    let rest = groups.remainder().chunks_exact(hw);
+    for (plane, s) in rest.zip(outs.into_remainder()) {
+        *s = plane.iter().fold(0.0, |a, &v| a + v);
+    }
+}
+
+/// Backward depthwise convolution, in masked tap passes over a
+/// tap table from `scratch` that spans one sample's `c` planes.
+/// Returns `(dx, dweight)`.
+///
+/// Each sum takes its terms in the order of the per-output loop this
+/// replaced, which skipped every exact-zero output gradient:
+///
+/// * `dx` adds `g·w` into each input over its outputs in increasing
+///   order, which is reverse `(ky, kx)` tap order (a later tap reaches
+///   an input from an earlier output), so the taps run in reverse.
+/// * `dw` keeps one running sum per (channel, tap) over the outputs in
+///   order, from `+0.0`, adding `g·x` as a multiply then an add. Such a
+///   sum is never `-0.0`, so a skipped term can add `+0.0` instead. A
+///   sample's sums are added into `dw` in sample order.
 pub fn dwconv2d_backward(
     x: &Tensor,
     weight: &Tensor,
     geom: ConvGeom,
     dout: &Tensor,
+    scratch: &mut Scratch,
 ) -> (Tensor, Tensor) {
     let (n, c, h, w) = shape4(x);
-    let k = geom.k;
-    let hout = geom.out_dim(h);
-    let wout = geom.out_dim(w);
+    assert_eq!(weight.shape(), &[c, geom.k, geom.k], "dwconv weight shape");
+    assert_eq!(dout.shape(), window_out_shape(x, geom), "dwconv dout shape");
+    let taps = TapTable::take(scratch, c, h, w, geom);
+    let (kk, hw_out) = (taps.taps, taps.hw_out);
+    let (span, in_len) = (c * hw_out, c * h * w);
+    let lane_w = lane_weights(weight, &taps, c, scratch);
+    let mut gathered = scratch.take(taps.gather_len());
+    let mut terms = scratch.take(span);
+    let mut sums = scratch.take(c);
     let mut dx = Tensor::zeros(x.shape());
     let mut dw = Tensor::zeros(weight.shape());
     for i in 0..n {
-        for ch in 0..c {
-            let xc = &x.data()[(i * c + ch) * h * w..(i * c + ch + 1) * h * w];
-            let wc = &weight.data()[ch * k * k..(ch + 1) * k * k];
-            let doc = &dout.data()[(i * c + ch) * hout * wout..(i * c + ch + 1) * hout * wout];
-            // Split borrows: accumulate into temporary per-channel buffers.
-            let mut dxc = vec![0.0f32; h * w];
-            let mut dwc = vec![0.0f32; k * k];
-            for oy in 0..hout {
-                for ox in 0..wout {
-                    let g = doc[oy * wout + ox];
-                    if g == 0.0 {
-                        continue;
-                    }
-                    for ky in 0..k {
-                        let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..k {
-                            let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let xi = iy as usize * w + ix as usize;
-                            dxc[xi] += g * wc[ky * k + kx];
-                            dwc[ky * k + kx] += g * xc[xi];
-                        }
-                    }
+        let gs = &dout.data()[i * span..(i + 1) * span];
+        let dxs = &mut dx.data_mut()[i * in_len..(i + 1) * in_len];
+        taps.for_each_tap_mut(
+            dxs,
+            c,
+            &mut gathered,
+            (0..kk).rev(),
+            |t, lanes, dv, valid| {
+                let wt = &lane_w[t * span..(t + 1) * span][lanes.clone()];
+                for (((d, &g), &m), &wv) in dv.iter_mut().zip(&gs[lanes]).zip(valid).zip(wt) {
+                    *d = if m & (g != 0.0) { *d + g * wv } else { *d };
                 }
+            },
+        );
+        let xs = &x.data()[i * in_len..(i + 1) * in_len];
+        let dws = dw.data_mut();
+        taps.for_each_tap(xs, c, &mut gathered, |t, lanes, xv, valid| {
+            terms[..lanes.start].fill(0.0);
+            terms[lanes.end..].fill(0.0);
+            let lane_terms = terms[lanes.clone()].iter_mut().zip(&gs[lanes]);
+            for (((p, &g), &v), &m) in lane_terms.zip(xv).zip(valid) {
+                *p = if m & (g != 0.0) { g * v } else { 0.0 };
             }
-            for (d, v) in dx.data_mut()[(i * c + ch) * h * w..(i * c + ch + 1) * h * w]
-                .iter_mut()
-                .zip(&dxc)
-            {
-                *d += v;
+            plane_sums(&terms, hw_out, &mut sums);
+            for (ch, &s) in sums.iter().enumerate() {
+                dws[ch * kk + t] += s;
             }
-            for (d, v) in dw.data_mut()[ch * k * k..(ch + 1) * k * k]
-                .iter_mut()
-                .zip(&dwc)
-            {
-                *d += v;
-            }
-        }
+        });
     }
+    for buf in [lane_w, gathered, terms, sums] {
+        scratch.give(buf);
+    }
+    taps.give(scratch);
     (dx, dw)
 }
 
@@ -851,27 +1013,7 @@ pub fn avgpool_forward_scratch(x: &Tensor, geom: ConvGeom, scratch: &mut Scratch
 fn avgpool_acc(x: &Tensor, geom: ConvGeom, mut out: Tensor, scratch: &mut Scratch) -> Tensor {
     let (n, c, h, w) = shape4(x);
     let (hout, wout) = (out.shape()[2], out.shape()[3]);
-    let (s, pad, k) = (geom.stride, geom.pad, geom.k);
-    // Per-position reciprocal valid-count table, shared by every (n, c)
-    // plane: the count factorizes as (#valid ky) * (#valid kx).
-    let mut cnt_y = vec![0u32; hout];
-    let mut cnt_x = vec![0u32; wout];
-    for kk in 0..k {
-        let (lo, hi) = tap_range(kk, pad, s, h, hout);
-        for cy in &mut cnt_y[lo..hi] {
-            *cy += 1;
-        }
-        let (lo, hi) = tap_range(kk, pad, s, w, wout);
-        for cx in &mut cnt_x[lo..hi] {
-            *cx += 1;
-        }
-    }
-    let mut inv_cnt = vec![0.0f32; hout * wout];
-    for oy in 0..hout {
-        for ox in 0..wout {
-            inv_cnt[oy * wout + ox] = 1.0 / (cnt_y[oy] * cnt_x[ox]).max(1) as f32;
-        }
-    }
+    let inv_cnt: Vec<f32> = window_counts(geom, h, w).iter().map(|k| 1.0 / k).collect();
     let taps = TapTable::take(scratch, c, h, w, geom);
     let (span, in_len) = (c * hout * wout, c * h * w);
     let mut gathered = scratch.take(taps.gather_len());
@@ -896,49 +1038,74 @@ fn avgpool_acc(x: &Tensor, geom: ConvGeom, mut out: Tensor, scratch: &mut Scratc
     out
 }
 
-/// Backward average pooling.
-pub fn avgpool_backward(x_shape: &[usize], geom: ConvGeom, dout: &Tensor) -> Tensor {
-    let (n, c, h, w) = (x_shape[0], x_shape[1], x_shape[2], x_shape[3]);
-    let hout = geom.out_dim(h);
-    let wout = geom.out_dim(w);
-    let mut dx = Tensor::zeros(x_shape);
-    for i in 0..n {
-        for ch in 0..c {
-            let base = (i * c + ch) * h * w;
-            let obase = (i * c + ch) * hout * wout;
-            for oy in 0..hout {
-                for ox in 0..wout {
-                    // Recompute the valid-count (cheap) to divide gradient.
-                    let mut cnt = 0u32;
-                    for ky in 0..geom.k {
-                        let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..geom.k {
-                            let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                            if ix >= 0 && (ix as usize) < w {
-                                cnt += 1;
-                            }
-                        }
-                    }
-                    let g = dout.data()[obase + oy * wout + ox] / cnt.max(1) as f32;
-                    for ky in 0..geom.k {
-                        let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..geom.k {
-                            let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                            if ix >= 0 && (ix as usize) < w {
-                                dx.data_mut()[base + iy as usize * w + ix as usize] += g;
-                            }
-                        }
-                    }
-                }
-            }
+/// Valid taps of each lane of a window op's `hout × wout` output plane
+/// over `h × w` input planes (at least 1), the count the average pool
+/// divides by: `(#valid ky)·(#valid kx)`.
+fn window_counts(geom: ConvGeom, h: usize, w: usize) -> Vec<f32> {
+    let (s, pad) = (geom.stride, geom.pad);
+    let (hout, wout) = (geom.out_dim(h), geom.out_dim(w));
+    let mut cnt_y = vec![0u32; hout];
+    let mut cnt_x = vec![0u32; wout];
+    for kk in 0..geom.k {
+        let (lo, hi) = tap_range(kk, pad, s, h, hout);
+        for cy in &mut cnt_y[lo..hi] {
+            *cy += 1;
+        }
+        let (lo, hi) = tap_range(kk, pad, s, w, wout);
+        for cx in &mut cnt_x[lo..hi] {
+            *cx += 1;
         }
     }
+    cnt_y
+        .iter()
+        .flat_map(|cy| cnt_x.iter().map(move |cx| (cy * cx).max(1) as f32))
+        .collect()
+}
+
+/// Backward average pooling (padding excluded from the divisor), in
+/// masked tap passes over a tap table from `scratch` that spans one
+/// sample's `c` planes. Each output's gradient is divided by its count,
+/// then added into the inputs its window read; an input takes those
+/// terms in increasing output order, which is reverse `(ky, kx)` tap
+/// order, so the taps run in reverse.
+pub fn avgpool_backward(
+    x_shape: &[usize],
+    geom: ConvGeom,
+    dout: &Tensor,
+    scratch: &mut Scratch,
+) -> Tensor {
+    let (n, c, h, w) = (x_shape[0], x_shape[1], x_shape[2], x_shape[3]);
+    let taps = TapTable::take(scratch, c, h, w, geom);
+    let (kk, hw_out) = (taps.taps, taps.hw_out);
+    let (span, in_len) = (c * hw_out, c * h * w);
+    assert_eq!(dout.len(), n * span, "avgpool dout shape");
+    let cnt = window_counts(geom, h, w);
+    let mut gathered = scratch.take(taps.gather_len());
+    let mut gd = scratch.take(span);
+    let mut dx = Tensor::zeros(x_shape);
+    for i in 0..n {
+        let gs = &dout.data()[i * span..(i + 1) * span];
+        for (gp, dp) in gd.chunks_exact_mut(hw_out).zip(gs.chunks_exact(hw_out)) {
+            for ((g, &d), &k) in gp.iter_mut().zip(dp).zip(&cnt) {
+                *g = d / k;
+            }
+        }
+        let dxs = &mut dx.data_mut()[i * in_len..(i + 1) * in_len];
+        taps.for_each_tap_mut(
+            dxs,
+            c,
+            &mut gathered,
+            (0..kk).rev(),
+            |_, lanes, dv, valid| {
+                for ((d, &g), &m) in dv.iter_mut().zip(&gd[lanes]).zip(valid) {
+                    *d = if m { *d + g } else { *d };
+                }
+            },
+        );
+    }
+    scratch.give(gathered);
+    scratch.give(gd);
+    taps.give(scratch);
     dx
 }
 
@@ -965,6 +1132,9 @@ mod tests {
     const INPUT_SPECIALS: [f32; 6] = [-0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e6, -1e6];
     /// Values that salt test weights.
     const WEIGHT_SPECIALS: [f32; 3] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+    /// Values that salt test output gradients: mostly exact zeros, which
+    /// the depthwise backward skips, and a few specials.
+    const GRAD_SPECIALS: [f32; 8] = [0.0, -0.0, 0.0, -0.0, f32::NAN, f32::INFINITY, 1e6, -1e6];
 
     /// Standard-normal values with about one in `every` replaced by one
     /// of `specials`.
@@ -1029,6 +1199,27 @@ mod tests {
         col
     }
 
+    /// Scatters the column block of a run of `g` samples as the conv
+    /// backward does: through a table of `table_planes` planes into a
+    /// zeroed channel-major gradient, returned sample-major.
+    fn scatter_samples(
+        dcol: &[f32],
+        g: usize,
+        table_planes: usize,
+        c: usize,
+        h: usize,
+        w: usize,
+        geom: ConvGeom,
+    ) -> Vec<f32> {
+        let table = TapTable::new(table_planes, h, w, geom);
+        let mut dxt = vec![0.0f32; g * c * h * w];
+        let mut gathered = vec![f32::NAN; table.gather_len()];
+        scatter_run(dcol, g, c, &table, &mut gathered, &mut dxt);
+        let mut dx = vec![f32::NAN; dxt.len()];
+        from_channel_major(&dxt, g, c, h * w, &mut dx);
+        dx
+    }
+
     /// Kernel sizes 1, 3 and 5.
     fn odd_kernel() -> impl Strategy<Value = usize> {
         (0usize..3).prop_map(|i| 2 * i + 1)
@@ -1040,7 +1231,7 @@ mod tests {
     /// for bit.
     mod oracle {
         use super::super::{shape4, tap_range, ConvGeom};
-        use crate::matmul::sgemm;
+        use crate::matmul::{sgemm, sgemm_a_bt_acc, sgemm_at_b_acc};
         use crate::tensor::Tensor;
 
         /// Lowers one sample `x[c, h, w]` into a column matrix `[c*k*k, hout*wout]`.
@@ -1296,6 +1487,187 @@ mod tests {
             }
             out
         }
+
+        /// Scatters a column-matrix gradient back to the input gradient
+        /// (adjoint of [`im2col`]): `dx[c, h, w] += col2im(dcol)`.
+        pub(super) fn col2im_acc(
+            dcol: &[f32],
+            c: usize,
+            h: usize,
+            w: usize,
+            g: ConvGeom,
+            hout: usize,
+            wout: usize,
+            dx: &mut [f32],
+        ) {
+            let k = g.k;
+            let hw_out = hout * wout;
+            for ch in 0..c {
+                let dxc = &mut dx[ch * h * w..(ch + 1) * h * w];
+                for ky in 0..k {
+                    for kx in 0..k {
+                        let row = ((ch * k + ky) * k + kx) * hw_out;
+                        for oy in 0..hout {
+                            let iy = (oy * g.stride + ky) as isize - g.pad as isize;
+                            if iy < 0 || iy >= h as isize {
+                                continue;
+                            }
+                            let src = &dcol[row + oy * wout..row + (oy + 1) * wout];
+                            let drow = &mut dxc[iy as usize * w..(iy as usize + 1) * w];
+                            for (ox, v) in src.iter().enumerate() {
+                                let ix = (ox * g.stride + kx) as isize - g.pad as isize;
+                                if ix >= 0 && (ix as usize) < w {
+                                    drow[ix as usize] += v;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        /// The per-sample conv backward: each sample's columns lowered by
+        /// [`im2col`], `dW += dout_i · col_iᵀ`, then
+        /// `dcol = Wᵀ · dout_i` scattered by [`col2im_acc`].
+        pub(super) fn conv2d_backward(
+            x: &Tensor,
+            weight: &Tensor,
+            g: ConvGeom,
+            relu: bool,
+            dout: &Tensor,
+        ) -> (Tensor, Tensor) {
+            let (n, cin, h, w) = shape4(x);
+            let cout = weight.shape()[0];
+            let (hout, wout) = (g.out_dim(h), g.out_dim(w));
+            let (ckk, hw_out) = (cin * g.k * g.k, hout * wout);
+            let mut dx = Tensor::zeros(x.shape());
+            let mut dw = Tensor::zeros(weight.shape());
+            let mut col = vec![0.0f32; ckk * hw_out];
+            let mut dcol = vec![0.0f32; ckk * hw_out];
+            for i in 0..n {
+                let xi = &x.data()[i * cin * h * w..(i + 1) * cin * h * w];
+                if relu {
+                    im2col::<true>(xi, cin, h, w, g, hout, wout, &mut col);
+                } else {
+                    im2col::<false>(xi, cin, h, w, g, hout, wout, &mut col);
+                }
+                let doi = &dout.data()[i * cout * hw_out..(i + 1) * cout * hw_out];
+                sgemm_a_bt_acc(cout, hw_out, ckk, doi, &col, dw.data_mut());
+                dcol.fill(0.0);
+                sgemm_at_b_acc(ckk, cout, hw_out, weight.data(), doi, &mut dcol);
+                let dxi = &mut dx.data_mut()[i * cin * h * w..(i + 1) * cin * h * w];
+                col2im_acc(&dcol, cin, h, w, g, hout, wout, dxi);
+            }
+            (dx, dw)
+        }
+
+        /// Backward depthwise convolution, one output at a time.
+        pub(super) fn dwconv2d_backward(
+            x: &Tensor,
+            weight: &Tensor,
+            geom: ConvGeom,
+            dout: &Tensor,
+        ) -> (Tensor, Tensor) {
+            let (n, c, h, w) = shape4(x);
+            let k = geom.k;
+            let hout = geom.out_dim(h);
+            let wout = geom.out_dim(w);
+            let mut dx = Tensor::zeros(x.shape());
+            let mut dw = Tensor::zeros(weight.shape());
+            for i in 0..n {
+                for ch in 0..c {
+                    let xc = &x.data()[(i * c + ch) * h * w..(i * c + ch + 1) * h * w];
+                    let wc = &weight.data()[ch * k * k..(ch + 1) * k * k];
+                    let doc =
+                        &dout.data()[(i * c + ch) * hout * wout..(i * c + ch + 1) * hout * wout];
+                    // Split borrows: accumulate into temporary per-channel buffers.
+                    let mut dxc = vec![0.0f32; h * w];
+                    let mut dwc = vec![0.0f32; k * k];
+                    for oy in 0..hout {
+                        for ox in 0..wout {
+                            let g = doc[oy * wout + ox];
+                            if g == 0.0 {
+                                continue;
+                            }
+                            for ky in 0..k {
+                                let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
+                                if iy < 0 || iy >= h as isize {
+                                    continue;
+                                }
+                                for kx in 0..k {
+                                    let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
+                                    if ix < 0 || ix >= w as isize {
+                                        continue;
+                                    }
+                                    let xi = iy as usize * w + ix as usize;
+                                    dxc[xi] += g * wc[ky * k + kx];
+                                    dwc[ky * k + kx] += g * xc[xi];
+                                }
+                            }
+                        }
+                    }
+                    for (d, v) in dx.data_mut()[(i * c + ch) * h * w..(i * c + ch + 1) * h * w]
+                        .iter_mut()
+                        .zip(&dxc)
+                    {
+                        *d += v;
+                    }
+                    for (d, v) in dw.data_mut()[ch * k * k..(ch + 1) * k * k]
+                        .iter_mut()
+                        .zip(&dwc)
+                    {
+                        *d += v;
+                    }
+                }
+            }
+            (dx, dw)
+        }
+
+        /// Backward average pooling, one output at a time.
+        pub(super) fn avgpool_backward(x_shape: &[usize], geom: ConvGeom, dout: &Tensor) -> Tensor {
+            let (n, c, h, w) = (x_shape[0], x_shape[1], x_shape[2], x_shape[3]);
+            let hout = geom.out_dim(h);
+            let wout = geom.out_dim(w);
+            let mut dx = Tensor::zeros(x_shape);
+            for i in 0..n {
+                for ch in 0..c {
+                    let base = (i * c + ch) * h * w;
+                    let obase = (i * c + ch) * hout * wout;
+                    for oy in 0..hout {
+                        for ox in 0..wout {
+                            // Recompute the valid-count (cheap) to divide gradient.
+                            let mut cnt = 0u32;
+                            for ky in 0..geom.k {
+                                let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
+                                if iy < 0 || iy >= h as isize {
+                                    continue;
+                                }
+                                for kx in 0..geom.k {
+                                    let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
+                                    if ix >= 0 && (ix as usize) < w {
+                                        cnt += 1;
+                                    }
+                                }
+                            }
+                            let g = dout.data()[obase + oy * wout + ox] / cnt.max(1) as f32;
+                            for ky in 0..geom.k {
+                                let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
+                                if iy < 0 || iy >= h as isize {
+                                    continue;
+                                }
+                                for kx in 0..geom.k {
+                                    let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
+                                    if ix >= 0 && (ix as usize) < w {
+                                        dx.data_mut()[base + iy as usize * w + ix as usize] += g;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            dx
+        }
     }
 
     /// Direct (non-im2col) convolution — the oracle the GEMM-lowered
@@ -1389,20 +1761,20 @@ mod tests {
         let g = ConvGeom::new(1, 1, 0);
         let col = lower_samples(x.data(), 1, 1, 3, 4, 5, g, false);
         assert_eq!(col, x.data());
-        let mut back = vec![0.0f32; x.len()];
-        col2im_acc(&col, 3, 4, 5, g, 4, 5, &mut back);
-        assert_eq!(back, x.data());
+        assert_eq!(scatter_samples(&col, 1, 1, 3, 4, 5, g), x.data());
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// col2im is the adjoint of a one-sample lowering:
-        /// `<lower(x), y> == <x, col2im(y)>` for every geometry — the
-        /// round-trip identity the conv backward pass relies on.
+        /// The run scatter is the adjoint of the run lowering:
+        /// `<lower(x), y> == <x, scatter(y)>` for every geometry and run
+        /// length — the round-trip identity the conv backward pass
+        /// relies on.
         #[test]
-        fn im2col_col2im_adjoint(
+        fn lowering_and_scatter_are_adjoint(
             seed in 0u64..1000,
+            n in 1usize..4,
             c in 1usize..4,
             h in 2usize..8,
             w in 2usize..8,
@@ -1415,11 +1787,10 @@ mod tests {
             let (hout, wout) = (g.out_dim(h), g.out_dim(w));
             prop_assume!(hout > 0 && wout > 0);
             let mut rng = StdRng::seed_from_u64(seed);
-            let x = Tensor::randn(&[1, c, h, w], 1.0, &mut rng);
-            let y = Tensor::randn(&[1, c * k * k, hout, wout], 1.0, &mut rng);
-            let col = lower_samples(x.data(), 1, 1, c, h, w, g, false);
-            let mut back = vec![0.0f32; c * h * w];
-            col2im_acc(y.data(), c, h, w, g, hout, wout, &mut back);
+            let x = Tensor::randn(&[n, c, h, w], 1.0, &mut rng);
+            let y = Tensor::randn(&[c * k * k, n, hout, wout], 1.0, &mut rng);
+            let col = lower_samples(x.data(), n, n, c, h, w, g, false);
+            let back = scatter_samples(y.data(), n, n, c, h, w, g);
             let lhs: f64 = col.iter().zip(y.data()).map(|(a, b)| (a * b) as f64).sum();
             let rhs: f64 = x.data().iter().zip(&back).map(|(a, b)| (a * b) as f64).sum();
             prop_assert!(
@@ -1611,6 +1982,107 @@ mod tests {
             prop_assert_eq!(bits(&avgpool_forward(&x, g, &mut Scratch::new())), want.clone());
             prop_assert_eq!(bits(&avgpool_forward_scratch(&x, g, &mut stale_scratch())), want);
         }
+
+        /// The run scatter adds the oracle `col2im`'s terms bit for bit,
+        /// in runs of up to `run` samples (the last run shorter than its
+        /// table), on gradients salted with signed zeros, NaN, infinities
+        /// and outliers.
+        #[test]
+        fn scatter_matches_col2im_oracle_bitwise(
+            seed in 0u64..1000,
+            n in 1usize..41,
+            c in 1usize..5,
+            h in 1usize..13,
+            w in 1usize..13,
+            k in odd_kernel(),
+            stride in 1usize..3,
+            pad in 0usize..3,
+            run in 1usize..41,
+        ) {
+            prop_assume!(k <= h + 2 * pad && k <= w + 2 * pad);
+            let g = ConvGeom::new(k, stride, pad);
+            let (hout, wout) = (g.out_dim(h), g.out_dim(w));
+            let (ckk, hw, in_len) = (c * k * k, hout * wout, c * h * w);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dcols = salted(&[n, ckk, hout, wout], &INPUT_SPECIALS, 8, &mut rng);
+            let mut want = vec![0.0f32; n * in_len];
+            for (dcol, dx) in dcols.data().chunks_exact(ckk * hw).zip(want.chunks_exact_mut(in_len)) {
+                oracle::col2im_acc(dcol, c, h, w, g, hout, wout, dx);
+            }
+            for s0 in (0..n).step_by(run) {
+                let g_run = run.min(n - s0);
+                // The run's block: row `r` holds each sample's row `r`.
+                let mut block = vec![f32::NAN; ckk * g_run * hw];
+                for r in 0..ckk {
+                    for s in 0..g_run {
+                        block[(r * g_run + s) * hw..][..hw]
+                            .copy_from_slice(&dcols.data()[((s0 + s) * ckk + r) * hw..][..hw]);
+                    }
+                }
+                let got = scatter_samples(&block, g_run, run, c, h, w, g);
+                let want = bit_patterns(&want[s0 * in_len..(s0 + g_run) * in_len]);
+                prop_assert_eq!(bit_patterns(&got), want);
+            }
+        }
+
+        /// The run-wide conv backward equals the per-sample oracle bit for
+        /// bit, `dx` and `dW`, on the forward's salted inputs and weights
+        /// and on output gradients salted with exact zeros and specials,
+        /// with buffers recycled from an arena of stale NaNs.
+        #[test]
+        fn conv_backward_matches_per_sample_oracle_bitwise(
+            seed in 0u64..1000,
+            n in 1usize..41,
+            cin in 1usize..5,
+            cout in 1usize..5,
+            h in 1usize..13,
+            w in 1usize..13,
+            k in odd_kernel(),
+            stride in 1usize..3,
+            pad in 0usize..3,
+            relu in any::<bool>(),
+        ) {
+            prop_assume!(k <= h + 2 * pad && k <= w + 2 * pad);
+            let g = ConvGeom::new(k, stride, pad);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let x = salted(&[n, cin, h, w], &INPUT_SPECIALS, 8, &mut rng);
+            let wt = salted(&[cout, cin, k, k], &WEIGHT_SPECIALS, 64, &mut rng);
+            let dout = salted(&[n, cout, g.out_dim(h), g.out_dim(w)], &GRAD_SPECIALS, 4, &mut rng);
+            let (want_dx, want_dw) = oracle::conv2d_backward(&x, &wt, g, relu, &dout);
+            let mut scratch = stale_scratch();
+            let (_, cols) = conv2d_forward_scratch(&x, &wt, g, relu, &mut scratch);
+            let (dx, dw) = conv2d_backward_scratch(&x, &wt, g, &cols, &dout, &mut scratch);
+            prop_assert_eq!(bits(&dx), bits(&want_dx));
+            prop_assert_eq!(bits(&dw), bits(&want_dw));
+        }
+
+        /// The tap-pass depthwise and average-pool backwards equal the
+        /// per-output oracles bit for bit, on salted inputs and weights
+        /// and on output gradients salted with exact zeros and specials.
+        #[test]
+        fn window_backwards_match_per_output_oracles_bitwise(
+            seed in 0u64..1000,
+            n in 1usize..41,
+            c in 1usize..5,
+            h in 1usize..13,
+            w in 1usize..13,
+            k in odd_kernel(),
+            stride in 1usize..3,
+            pad in 0usize..3,
+        ) {
+            prop_assume!(k <= h + 2 * pad && k <= w + 2 * pad);
+            let g = ConvGeom::new(k, stride, pad);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let x = salted(&[n, c, h, w], &INPUT_SPECIALS, 8, &mut rng);
+            let wk = salted(&[c, k, k], &WEIGHT_SPECIALS, 16, &mut rng);
+            let dout = salted(&window_out_shape(&x, g), &GRAD_SPECIALS, 4, &mut rng);
+            let (want_dx, want_dw) = oracle::dwconv2d_backward(&x, &wk, g, &dout);
+            let (dx, dw) = dwconv2d_backward(&x, &wk, g, &dout, &mut stale_scratch());
+            prop_assert_eq!(bits(&dx), bits(&want_dx));
+            prop_assert_eq!(bits(&dw), bits(&want_dw));
+            let want = bits(&oracle::avgpool_backward(x.shape(), g, &dout));
+            prop_assert_eq!(bits(&avgpool_backward(x.shape(), g, &dout, &mut stale_scratch())), want);
+        }
     }
 
     /// Kernels sharing one arena reuse its tap tables across calls, a
@@ -1629,18 +2101,32 @@ mod tests {
                 let dw = Tensor::randn(&[c, k, k], 0.5, &mut rng);
                 let shape = window_out_shape(&x, g);
                 let zeros = || Tensor::zeros(&shape);
+                let dout = salted(&shape, &GRAD_SPECIALS, 4, &mut rng);
+                let conv_dout = salted(&[n, 3, shape[2], shape[3]], &GRAD_SPECIALS, 4, &mut rng);
                 for relu in [false, true] {
                     let want = bits(&oracle::conv2d(&x, &wt, g, relu));
                     let got = conv2d_forward_infer(&x, &wt, g, relu, &mut scratch);
                     assert_eq!(bits(&got), want);
                     let (got, cols) = conv2d_forward_scratch(&x, &wt, g, relu, &mut scratch);
                     assert_eq!(bits(&got), want);
+                    let (dx, dwt) =
+                        conv2d_backward_scratch(&x, &wt, g, &cols, &conv_dout, &mut scratch);
+                    let (want_dx, want_dwt) = oracle::conv2d_backward(&x, &wt, g, relu, &conv_dout);
+                    assert_eq!((bits(&dx), bits(&dwt)), (bits(&want_dx), bits(&want_dwt)));
                     scratch.give(cols);
                 }
                 let want = bits(&oracle::dwconv2d_acc(&x, &dw, g, zeros()));
                 assert_eq!(bits(&dwconv2d_forward(&x, &dw, g, &mut scratch)), want);
                 let got = dwconv2d_forward_scratch(&x, &dw, g, &mut scratch);
                 assert_eq!(bits(&got), want);
+                let (dx, ddw) = dwconv2d_backward(&x, &dw, g, &dout, &mut scratch);
+                let (want_dx, want_ddw) = oracle::dwconv2d_backward(&x, &dw, g, &dout);
+                assert_eq!((bits(&dx), bits(&ddw)), (bits(&want_dx), bits(&want_ddw)));
+                let dx = avgpool_backward(x.shape(), g, &dout, &mut scratch);
+                assert_eq!(
+                    bits(&dx),
+                    bits(&oracle::avgpool_backward(x.shape(), g, &dout))
+                );
                 let mut want_arg = vec![0u32; zeros().len()];
                 let want = bits(&oracle::maxpool_into::<true>(&x, g, zeros(), &mut want_arg));
                 let (got, got_arg) = maxpool_forward(&x, g, &mut scratch);
@@ -1658,21 +2144,37 @@ mod tests {
         );
     }
 
-    /// Batches whose runs of samples do not divide them evenly: the
-    /// batched conv still equals the per-sample oracle bit for bit.
+    /// Batches whose runs of samples do not divide them evenly (among
+    /// them the 8-channel 3×3 conv at batch 32, runs of 6 ending in a
+    /// run of 2): both conv forwards and the backward still equal the
+    /// per-sample oracles bit for bit.
     #[test]
-    fn conv_infer_runs_cross_chunk_boundaries() {
+    fn conv_runs_cross_chunk_boundaries() {
         let mut rng = StdRng::seed_from_u64(34);
-        for (n, cin, hw, k, stride) in [(38, 4, 12, 5, 1), (37, 4, 12, 3, 1), (39, 3, 12, 5, 2)] {
+        let cases = [
+            (38, 4, 12, 5, 1),
+            (37, 4, 12, 3, 1),
+            (39, 3, 12, 5, 2),
+            (32, 8, 12, 3, 1),
+        ];
+        for (n, cin, hw, k, stride) in cases {
             let g = ConvGeom::same(k, stride);
-            let col_len = cin * k * k * g.out_dim(hw) * g.out_dim(hw);
-            let run = COL_BLOCK / col_len;
+            let (hout, wout) = (g.out_dim(hw), g.out_dim(hw));
+            let run = COL_BLOCK / (cin * k * k * hout * wout);
             assert!(run > 1 && n > run && n % run != 0, "runs of {run} over {n}");
             let x = salted(&[n, cin, hw, hw], &INPUT_SPECIALS, 8, &mut rng);
             let wt = Tensor::randn(&[5, cin, k, k], 0.5, &mut rng);
+            let dout = salted(&[n, 5, hout, wout], &GRAD_SPECIALS, 4, &mut rng);
             for relu in [false, true] {
+                let want = bits(&oracle::conv2d(&x, &wt, g, relu));
                 let got = conv2d_forward_infer(&x, &wt, g, relu, &mut stale_scratch());
-                assert_eq!(bits(&got), bits(&oracle::conv2d(&x, &wt, g, relu)));
+                assert_eq!(bits(&got), want);
+                let mut scratch = stale_scratch();
+                let (got, cols) = conv2d_forward_scratch(&x, &wt, g, relu, &mut scratch);
+                assert_eq!(bits(&got), want);
+                let (dx, dw) = conv2d_backward_scratch(&x, &wt, g, &cols, &dout, &mut scratch);
+                let (want_dx, want_dw) = oracle::conv2d_backward(&x, &wt, g, relu, &dout);
+                assert_eq!((bits(&dx), bits(&dw)), (bits(&want_dx), bits(&want_dw)));
             }
         }
     }
@@ -1757,7 +2259,7 @@ mod tests {
     fn avgpool_backward_distributes() {
         let shape = [1, 1, 2, 2];
         let dout = Tensor::ones(&[1, 1, 1, 1]);
-        let dx = avgpool_backward(&shape, ConvGeom::new(2, 2, 0), &dout);
+        let dx = avgpool_backward(&shape, ConvGeom::new(2, 2, 0), &dout, &mut Scratch::new());
         for v in dx.data() {
             assert!((v - 0.25).abs() < 1e-6);
         }
@@ -1813,7 +2315,7 @@ mod tests {
         let g = ConvGeom::same(3, 1);
         let y = dwconv2d_forward(&x, &w, g, &mut Scratch::new());
         let dout = Tensor::ones(y.shape());
-        let (dx, dw) = dwconv2d_backward(&x, &w, g, &dout);
+        let (dx, dw) = dwconv2d_backward(&x, &w, g, &dout, &mut Scratch::new());
         let loss = |x: &Tensor, w: &Tensor| dwconv2d_forward(x, w, g, &mut Scratch::new()).sum();
         let eps = 1e-2;
         for idx in [0usize, 9, x.len() - 1] {

@@ -172,6 +172,22 @@ impl Graph {
         self.push(store.value(id).clone(), OpRecord::Param(id))
     }
 
+    /// The parameters on the tape, each once, in increasing id order:
+    /// the only gradients [`Graph::backward`] can make non-zero.
+    pub fn param_ids(&self) -> Vec<ParamId> {
+        let mut ids: Vec<ParamId> = self
+            .nodes
+            .iter()
+            .filter_map(|node| match node.op {
+                OpRecord::Param(id) => Some(id),
+                _ => None,
+            })
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
     /// Value of a node.
     pub fn value(&self, v: Var) -> &Tensor {
         &self.nodes[v.0].value
@@ -483,12 +499,14 @@ impl Graph {
 
     /// Like [`Graph::backward`], but returns the workspace arena (with
     /// every conv buffer reclaimed from the tape) so the caller can feed
-    /// it to the next step's [`Graph::with_scratch`].
+    /// it to the next step's [`Graph::with_scratch`]. While tracing is
+    /// on, each call records one `tape.backward` span.
     ///
     /// # Panics
     ///
     /// Panics if `loss` is not a scalar (single-element) node.
     pub fn backward_scratch(mut self, loss: Var, store: &mut ParamStore) -> Scratch {
+        let _span = yoso_trace::span("tape.backward");
         assert_eq!(
             self.nodes[loss.0].value.len(),
             1,
@@ -656,8 +674,8 @@ impl Graph {
                     self.accumulate(beta, dbeta);
                 }
                 OpRecord::DwConv2d { x, w, geom } => {
-                    let (dx, dw) =
-                        dwconv2d_backward(&self.nodes[x.0].value, &self.nodes[w.0].value, geom, &g);
+                    let (x_val, w_val) = (&self.nodes[x.0].value, &self.nodes[w.0].value);
+                    let (dx, dw) = dwconv2d_backward(x_val, w_val, geom, &g, &mut self.scratch);
                     self.accumulate(x, dx);
                     self.accumulate(w, dw);
                 }
@@ -666,7 +684,8 @@ impl Graph {
                     self.accumulate(x, dx);
                 }
                 OpRecord::AvgPool { x, geom } => {
-                    let dx = avgpool_backward(self.nodes[x.0].value.shape(), geom, &g);
+                    let x_shape = self.nodes[x.0].value.shape();
+                    let dx = avgpool_backward(x_shape, geom, &g, &mut self.scratch);
                     self.accumulate(x, dx);
                 }
                 OpRecord::GlobalAvgPool { x } => {

@@ -251,12 +251,13 @@ enum Layout {
 
 /// Packs the `[k0..k1) x [j0..j1)` block of logical `b` (`k x n`) into
 /// `KC x NR` panels laid out panel-after-panel in `buf`. Columns past
-/// `j1` in the final panel are zero-filled.
+/// `j1` in the final panel are zero-filled. A transposed `b` stores
+/// logical column `j` at `b[j * ldb..]`.
 fn pack_b(
     b: &[f32],
     layout: Layout,
     n: usize,
-    k_dim: usize,
+    ldb: usize,
     k0: usize,
     k1: usize,
     j0: usize,
@@ -279,9 +280,9 @@ fn pack_b(
                 }
             }
             Layout::Transposed => {
-                // Logical (k, j) lives at b[j * k_dim + k].
+                // Logical (k, j) lives at b[j * ldb + k].
                 for (jj, col) in (jb..jb + jw).enumerate() {
-                    let src = &b[col * k_dim + k0..col * k_dim + k1];
+                    let src = &b[col * ldb + k0..col * ldb + k1];
                     for (p, v) in src.iter().enumerate() {
                         panel[p * NR + jj] = *v;
                     }
@@ -374,6 +375,7 @@ fn packed_block(
     m: usize,
     b: &[f32],
     b_layout: Layout,
+    ldb: usize,
     out: &mut [f32],
 ) -> (u64, u64) {
     let Block { i0, i1, j0, j1 } = tb;
@@ -410,7 +412,7 @@ fn packed_block(
                                 if edge_packed {
                                     reused += 1;
                                 } else {
-                                    pack_b(b, b_layout, n, k, k0, k1, jb, j1, b_buf);
+                                    pack_b(b, b_layout, n, ldb, k0, k1, jb, j1, b_buf);
                                     edge_packed = true;
                                     packed += 1;
                                 }
@@ -432,7 +434,7 @@ fn packed_block(
                 while k0 < k {
                     let k1 = (k0 + KC).min(k);
                     let kc = k1 - k0;
-                    let panels = pack_b(b, b_layout, n, k, k0, k1, j0, j1, b_buf);
+                    let panels = pack_b(b, b_layout, n, ldb, k0, k1, j0, j1, b_buf);
                     packed += panels as u64;
                     let tiles = (i1 - i0).div_ceil(MR) as u64;
                     reused += (panels as u64) * tiles.saturating_sub(1);
@@ -473,8 +475,9 @@ fn add_block(c: &mut [f32], n: usize, tb: Block, block: &[f32]) {
 }
 
 /// The packed path: `c += op(a) * op(b)` over the fixed block grid, with
-/// the microkernel at `tier`. See the module docs for the bit-exactness
-/// argument.
+/// the microkernel at `tier`. A transposed `b` stores its logical
+/// columns `ldb >= k` floats apart (`ldb` is ignored for a row-major
+/// `b`). See the module docs for the bit-exactness argument.
 fn sgemm_packed(
     tier: SimdTier,
     m: usize,
@@ -484,16 +487,25 @@ fn sgemm_packed(
     a_layout: Layout,
     b: &[f32],
     b_layout: Layout,
+    ldb: usize,
     c: &mut [f32],
 ) {
-    // The SIMD microkernels read through raw pointers: both checks hold
+    // The SIMD microkernels read through raw pointers: these checks hold
     // their memory safety, so they stay on in release builds.
     assert!(
         tier_supported(tier),
         "{tier} microkernel on a CPU without it"
     );
+    let b_len = match b_layout {
+        Layout::Normal => k * n,
+        Layout::Transposed if n > 0 => {
+            assert!(ldb >= k, "transposed b row stride {ldb} below depth {k}");
+            (n - 1) * ldb + k
+        }
+        Layout::Transposed => 0,
+    };
     assert!(
-        a.len() >= m * k && b.len() >= k * n && c.len() >= m * n,
+        a.len() >= m * k && b.len() >= b_len && c.len() >= m * n,
         "sgemm operands too short for {m}x{k}x{n}"
     );
     if m == 0 || n == 0 || k == 0 {
@@ -512,7 +524,7 @@ fn sgemm_packed(
                 };
                 out.clear();
                 out.resize((tb.i1 - tb.i0) * (tb.j1 - tb.j0), 0.0);
-                let (p, r) = packed_block(tier, tb, k, n, a, a_layout, m, b, b_layout, out);
+                let (p, r) = packed_block(tier, tb, k, n, a, a_layout, m, b, b_layout, ldb, out);
                 add_block(c, n, tb, out);
                 packed += p;
                 reused += r;
@@ -549,6 +561,7 @@ pub fn sgemm_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f3
         Layout::Normal,
         b,
         Layout::Normal,
+        n,
         c,
     );
 }
@@ -604,6 +617,7 @@ pub fn sgemm_at_b_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mu
         Layout::Transposed,
         b,
         Layout::Normal,
+        n,
         c,
     );
 }
@@ -611,8 +625,23 @@ pub fn sgemm_at_b_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mu
 /// Computes `c += a * b^T` where `a` is `m x k`, `b` is `n x k`
 /// (so `b^T` is `k x n`), `c` is `m x n`.
 pub fn sgemm_a_bt_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
+    sgemm_a_bt_acc_strided(m, k, n, a, b, k, c);
+}
+
+/// [`sgemm_a_bt_acc`] with the rows of `b` `ldb >= k` floats apart: row
+/// `j` is `b[j * ldb..j * ldb + k]`. Packing copies values, so this
+/// computes the bits a GEMM of those rows copied out would.
+pub(crate) fn sgemm_a_bt_acc_strided(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+) {
+    debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(c.len(), m * n);
     sgemm_packed(
         simd_tier(),
@@ -623,6 +652,7 @@ pub fn sgemm_a_bt_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mu
         Layout::Normal,
         b,
         Layout::Transposed,
+        ldb,
         c,
     );
 }
@@ -758,7 +788,11 @@ mod tests {
         ];
         layouts.map(|(a_layout, b_layout)| {
             let mut c = vec![0.5f32; m * n];
-            sgemm_packed(tier, m, k, n, a, a_layout, b, b_layout, &mut c);
+            let ldb = match b_layout {
+                Layout::Normal => n,
+                Layout::Transposed => k,
+            };
+            sgemm_packed(tier, m, k, n, a, a_layout, b, b_layout, ldb, &mut c);
             c
         })
     }
@@ -797,6 +831,29 @@ mod tests {
         }
     }
 
+    /// A strided `a * b^T` reads only its rows' first `k` floats and
+    /// equals the GEMM of those rows copied out, bit for bit.
+    #[test]
+    fn strided_a_bt_matches_copied_rows() {
+        let mut rng = StdRng::seed_from_u64(8);
+        for (m, k, n, ldb) in [(8, 144, 72, 864), (3, 9, 40, 18), (16, 130, 20, 131)] {
+            let a = random_vec(m * k, &mut rng);
+            let mut b = vec![f32::NAN; (n - 1) * ldb + k];
+            let mut copied = Vec::with_capacity(n * k);
+            for j in 0..n {
+                let row = random_vec(k, &mut rng);
+                b[j * ldb..j * ldb + k].copy_from_slice(&row);
+                copied.extend(row);
+            }
+            let mut want = random_vec(m * n, &mut rng);
+            let mut got = want.clone();
+            sgemm_a_bt_acc(m, k, n, &a, &copied, &mut want);
+            sgemm_a_bt_acc_strided(m, k, n, &a, &b, ldb, &mut got);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{m}x{k}x{n}, ldb {ldb}");
+        }
+    }
+
     /// A short operand panics before any microkernel reads past it.
     #[test]
     #[should_panic(expected = "sgemm operands too short for 1x2x16")]
@@ -812,6 +869,7 @@ mod tests {
             Layout::Normal,
             &b,
             Layout::Normal,
+            16,
             &mut c,
         );
     }

@@ -100,6 +100,13 @@ impl ParamStore {
         }
     }
 
+    /// Zeroes the gradient accumulators of `ids` alone.
+    pub fn zero_grads_of(&mut self, ids: &[ParamId]) {
+        for id in ids {
+            self.entries[id.0].grad.fill_zero();
+        }
+    }
+
     /// Sum of squared parameter values (for L2 diagnostics).
     pub fn l2_sq(&self) -> f32 {
         self.entries.iter().map(|e| e.value.sq_norm()).sum()
@@ -117,11 +124,30 @@ impl ParamStore {
     /// Scales every gradient so the global norm does not exceed `max_norm`.
     /// Returns the pre-clip norm.
     pub fn clip_grad_norm(&mut self, max_norm: f32) -> f32 {
-        let norm = self.grad_norm();
+        self.clip_entries(0..self.entries.len(), max_norm)
+    }
+
+    /// [`clip_grad_norm`](Self::clip_grad_norm) over the gradients of
+    /// `ids` (sorted, each once) alone. When every other gradient is
+    /// zero it returns the same norm and leaves the same bits: the norm
+    /// sums the same non-zero squares in the same index order, and the
+    /// gradients it leaves out would scale to zero.
+    pub fn clip_grad_norm_of(&mut self, ids: &[ParamId], max_norm: f32) -> f32 {
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids not sorted");
+        self.clip_entries(ids.iter().map(|id| id.0), max_norm)
+    }
+
+    /// Clips the gradients of the entries `idx` by their global norm.
+    fn clip_entries(&mut self, idx: impl Iterator<Item = usize> + Clone, max_norm: f32) -> f32 {
+        let norm = idx
+            .clone()
+            .map(|i| self.entries[i].grad.sq_norm())
+            .sum::<f32>()
+            .sqrt();
         if norm > max_norm && norm > 0.0 {
             let s = max_norm / norm;
-            for e in &mut self.entries {
-                e.grad.scale_in_place(s);
+            for i in idx {
+                self.entries[i].grad.scale_in_place(s);
             }
         }
         norm
@@ -139,6 +165,19 @@ impl ParamStore {
     pub fn for_each_mut(&mut self, mut f: impl FnMut(usize, &mut Tensor, &Tensor)) {
         for (i, e) in self.entries.iter_mut().enumerate() {
             f(i, &mut e.value, &e.grad);
+        }
+    }
+
+    /// Applies `f(index, value, grad)` to the parameters `ids` alone, in
+    /// the order given.
+    pub fn for_each_of_mut(
+        &mut self,
+        ids: &[ParamId],
+        mut f: impl FnMut(usize, &mut Tensor, &Tensor),
+    ) {
+        for id in ids {
+            let e = &mut self.entries[id.0];
+            f(id.0, &mut e.value, &e.grad);
         }
     }
 
@@ -185,6 +224,30 @@ mod tests {
         let pre = s.clip_grad_norm(1.0);
         assert!((pre - 5.0).abs() < 1e-6);
         assert!((s.grad_norm() - 1.0).abs() < 1e-5);
+    }
+
+    /// Over the ids that hold every non-zero gradient, the id-restricted
+    /// zero and clip leave the bits the whole-store ones do.
+    #[test]
+    fn id_restricted_clip_matches_whole_store_clip() {
+        let mut s = ParamStore::new();
+        let ids: Vec<ParamId> = (0..5).map(|i| s.add(Tensor::zeros(&[i + 1]))).collect();
+        for (step, max_norm) in [(0.0f32, 0.5f32), (1.0, 100.0), (2.0, 1e-3)] {
+            let mut full = s.clone();
+            let touched = [ids[1], ids[3], ids[4]];
+            for (k, &id) in touched.iter().enumerate() {
+                let g: Vec<f32> = (0..id.0 + 1).map(|j| step - (k + j) as f32 * 0.7).collect();
+                s.accumulate_grad(id, &Tensor::from_vec(&[id.0 + 1], g.clone()));
+                full.accumulate_grad(id, &Tensor::from_vec(&[id.0 + 1], g));
+            }
+            let norm = s.clip_grad_norm_of(&touched, max_norm);
+            assert_eq!(norm.to_bits(), full.clip_grad_norm(max_norm).to_bits());
+            for &id in &ids {
+                assert_eq!(s.grad(id).data(), full.grad(id).data());
+            }
+            s.zero_grads_of(&touched);
+            assert_eq!(s.grad_norm(), 0.0);
+        }
     }
 
     #[test]

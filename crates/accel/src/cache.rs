@@ -31,7 +31,7 @@
 //! cost model that differs in any bit — even `-0.0` vs `0.0` — misses
 //! rather than aliasing). There is no other hidden input, so entries
 //! never need invalidation; [`clear`] exists for tests and for bounding
-//! memory, and a full shard past [`SHARD_CAPACITY`] entries is dropped
+//! memory, and a full shard past `SHARD_CAPACITY` entries is dropped
 //! wholesale (crude epoch eviction) before inserting.
 
 use crate::cost::CostModel;
@@ -45,13 +45,12 @@ use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use yoso_arch::{HwConfig, LayerSpec};
-use yoso_persist::{ByteReader, ByteWriter, PersistError, Snapshot};
 
 /// Number of independent lock-sharded maps (power of two).
 const SHARDS: usize = 16;
 
 /// Entries per shard before the shard is dropped wholesale.
-pub const SHARD_CAPACITY: usize = 65_536;
+const SHARD_CAPACITY: usize = 65_536;
 
 /// The full input of a layer simulation, quantized for hashing: what an
 /// entry stores.
@@ -117,37 +116,6 @@ fn cost_bits(c: &CostModel) -> [u64; 11] {
         c.gbuf_words_per_cycle.to_bits(),
         c.vector_lanes.to_bits(),
     ]
-}
-
-impl Snapshot for CacheKey {
-    fn snapshot(&self, w: &mut ByteWriter) {
-        self.layer.snapshot(w);
-        self.hw.snapshot(w);
-        self.fidelity.snapshot(w);
-        w.put_bool(self.input_onchip);
-        w.put_bool(self.output_onchip);
-        w.put_u64s(&self.cost_bits);
-    }
-
-    fn restore(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        let layer = LayerSpec::restore(r)?;
-        let hw = HwConfig::restore(r)?;
-        let fidelity = crate::sim::Fidelity::restore(r)?;
-        let input_onchip = r.take_bool()?;
-        let output_onchip = r.take_bool()?;
-        let bits = r.take_u64s()?;
-        let cost_bits: [u64; 11] = bits
-            .try_into()
-            .map_err(|v: Vec<u64>| PersistError::Malformed(format!("cost bits: {}", v.len())))?;
-        Ok(CacheKey {
-            layer,
-            hw,
-            fidelity,
-            input_onchip,
-            output_onchip,
-            cost_bits,
-        })
-    }
 }
 
 /// Hit / miss / occupancy / contention counters of the global cache.
@@ -379,34 +347,6 @@ impl<S: BuildHasher> SimCache<S> {
         self.contended_reads.store(0, Ordering::Relaxed);
         self.contended_writes.store(0, Ordering::Relaxed);
     }
-
-    fn export(&self, w: &mut ByteWriter) {
-        let entries: Vec<(CacheKey, LayerReport)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.read().slots.iter().flatten().cloned().collect::<Vec<_>>())
-            .collect();
-        w.put_usize(entries.len());
-        for (key, report) in &entries {
-            key.snapshot(w);
-            report.snapshot(w);
-        }
-    }
-
-    fn import(&self, r: &mut ByteReader<'_>) -> Result<usize, PersistError> {
-        let n = r.take_usize()?;
-        let mut inserted = 0;
-        for _ in 0..n {
-            let key = CacheKey::restore(r)?;
-            let report = LayerReport::restore(r)?;
-            let hash = self.hash(key.as_ref());
-            self.shard(hash)
-                .write()
-                .insert(hash, key.as_ref(), &report, |k| self.hash(k));
-            inserted += 1;
-        }
-        Ok(inserted)
-    }
 }
 
 fn global() -> &'static SimCache {
@@ -536,16 +476,6 @@ pub fn tenant_stats() -> Vec<TenantStats> {
     out
 }
 
-/// Zeroes every tenant's counters (the registry itself is kept, so
-/// outstanding [`TenantTag`]s remain valid).
-pub fn reset_tenant_stats() {
-    let reg = tenant_registry().lock().unwrap_or_else(|e| e.into_inner());
-    for c in reg.values() {
-        c.hits.store(0, Ordering::Relaxed);
-        c.misses.store(0, Ordering::Relaxed);
-    }
-}
-
 /// Returns the cached report for this exact simulation input, or runs
 /// `simulate` and caches its result. Hits are bit-identical to what
 /// `simulate` returned on the miss.
@@ -586,27 +516,6 @@ pub fn stats() -> CacheStats {
 /// counters, so the next lookups pay what a fresh process pays.
 pub fn clear() {
     global().clear()
-}
-
-/// Serializes every entry of the global cache (a warm-cache export for
-/// session checkpoints). Entries carry their full simulation key, so an
-/// import into a process with a different cost model simply adds keys
-/// that are never hit.
-pub fn export(w: &mut ByteWriter) {
-    global().export(w)
-}
-
-/// Merges previously exported entries into the global cache, returning
-/// how many were inserted. Cached values are pure functions of their
-/// keys, so importing never changes what a lookup observes — it only
-/// turns cold misses into hits.
-///
-/// # Errors
-///
-/// Returns [`PersistError`] when the bytes are truncated or malformed;
-/// entries read before the failure remain inserted.
-pub fn import(r: &mut ByteReader<'_>) -> Result<usize, PersistError> {
-    global().import(r)
 }
 
 #[cfg(test)]
@@ -834,38 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn export_import_roundtrips_entries() {
-        let cache = SimCache::new();
-        let sim = Simulator::exact();
-        let hw = test_hw();
-        for i in 0..4 {
-            let layer = test_layer(&format!("exp-{i}"), 8 + i);
-            cache.lookup_or_simulate(key_for(&sim, &layer, &hw), || {
-                sim.simulate_layer(&layer, &hw, false, false)
-            });
-        }
-        let mut w = ByteWriter::new();
-        cache.export(&mut w);
-        let bytes = w.into_bytes();
-
-        let fresh = SimCache::new();
-        let n = fresh.import(&mut ByteReader::new(&bytes)).unwrap();
-        assert_eq!(n, 4);
-        assert_eq!(fresh.stats().entries, 4);
-        // Every restored entry answers bit-identically to a simulation.
-        let layer = test_layer("exp-2", 10);
-        let hit = fresh.lookup_or_simulate(key_for(&sim, &layer, &hw), || {
-            panic!("should be served from the imported cache")
-        });
-        assert_eq!(hit, sim.simulate_layer(&layer, &hw, false, false));
-        // Truncated bytes are rejected with a typed error.
-        assert!(matches!(
-            SimCache::new().import(&mut ByteReader::new(&bytes[..bytes.len() / 2])),
-            Err(PersistError::Truncated { .. })
-        ));
-    }
-
-    #[test]
     fn tenant_tags_attribute_thread_lookups() {
         let sim = Simulator::exact();
         let hw = test_hw();
@@ -905,13 +782,6 @@ mod tests {
             .unwrap();
         assert_eq!(fresh.hits + fresh.misses, 0);
         drop(alice2);
-
-        reset_tenant_stats();
-        let a = tenant_stats()
-            .into_iter()
-            .find(|s| s.tenant == "acct-alice")
-            .unwrap();
-        assert_eq!((a.hits, a.misses), (0, 0));
     }
 
     #[test]

@@ -34,7 +34,6 @@ pub mod cache;
 pub mod cost;
 pub mod report;
 pub mod sim;
-pub mod snapshot;
 
 pub use cache::CacheStats;
 pub use cost::CostModel;

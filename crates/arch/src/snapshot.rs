@@ -6,8 +6,6 @@
 //! sequence is rejected by the codec's own validation.
 
 use crate::codec::ActionSpace;
-use crate::hw::{Dataflow, HwConfig, PeArray};
-use crate::layer::{LayerKind, LayerSpec, PoolKind};
 use crate::skeleton::NetworkSkeleton;
 use crate::space::DesignPoint;
 use yoso_persist::{ByteReader, ByteWriter, PersistError, Snapshot};
@@ -44,162 +42,6 @@ impl Snapshot for NetworkSkeleton {
             num_cells: r.take_usize()?,
             reduction_positions: r.take_usizes()?,
         })
-    }
-}
-
-impl Snapshot for HwConfig {
-    fn snapshot(&self, w: &mut ByteWriter) {
-        // Raw fields, not menu indices: an HwConfig constructed off-menu
-        // (the fields are public) still round-trips.
-        w.put_usize(self.pe.rows);
-        w.put_usize(self.pe.cols);
-        w.put_usize(self.gbuf_kb);
-        w.put_usize(self.rbuf_bytes);
-        w.put_u8(self.dataflow.index() as u8);
-    }
-
-    fn restore(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        let rows = r.take_usize()?;
-        let cols = r.take_usize()?;
-        let gbuf_kb = r.take_usize()?;
-        let rbuf_bytes = r.take_usize()?;
-        let df = r.take_u8()? as usize;
-        if df >= Dataflow::ALL.len() {
-            return Err(PersistError::Malformed(format!("dataflow index {df}")));
-        }
-        Ok(HwConfig {
-            pe: PeArray { rows, cols },
-            gbuf_kb,
-            rbuf_bytes,
-            dataflow: Dataflow::from_index(df),
-        })
-    }
-}
-
-impl Snapshot for PoolKind {
-    fn snapshot(&self, w: &mut ByteWriter) {
-        w.put_u8(match self {
-            PoolKind::Max => 0,
-            PoolKind::Avg => 1,
-        });
-    }
-
-    fn restore(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        match r.take_u8()? {
-            0 => Ok(PoolKind::Max),
-            1 => Ok(PoolKind::Avg),
-            v => Err(PersistError::Malformed(format!("pool kind {v}"))),
-        }
-    }
-}
-
-impl Snapshot for LayerKind {
-    fn snapshot(&self, w: &mut ByteWriter) {
-        match *self {
-            LayerKind::Conv {
-                k,
-                stride,
-                cin,
-                cout,
-            } => {
-                w.put_u8(0);
-                w.put_usizes(&[k, stride, cin, cout]);
-            }
-            LayerKind::DwConv { k, stride, c } => {
-                w.put_u8(1);
-                w.put_usizes(&[k, stride, c]);
-            }
-            LayerKind::Pool {
-                k,
-                stride,
-                c,
-                pooling,
-            } => {
-                w.put_u8(2);
-                w.put_usizes(&[k, stride, c]);
-                pooling.snapshot(w);
-            }
-            LayerKind::Linear { cin, cout } => {
-                w.put_u8(3);
-                w.put_usizes(&[cin, cout]);
-            }
-            LayerKind::GlobalPool { c } => {
-                w.put_u8(4);
-                w.put_usizes(&[c]);
-            }
-        }
-    }
-
-    fn restore(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        let tag = r.take_u8()?;
-        let fields = r.take_usizes()?;
-        let arity_err = |want: usize| {
-            PersistError::Malformed(format!(
-                "layer kind tag {tag}: want {want} fields, got {}",
-                fields.len()
-            ))
-        };
-        match tag {
-            0 => match fields[..] {
-                [k, stride, cin, cout] => Ok(LayerKind::Conv {
-                    k,
-                    stride,
-                    cin,
-                    cout,
-                }),
-                _ => Err(arity_err(4)),
-            },
-            1 => match fields[..] {
-                [k, stride, c] => Ok(LayerKind::DwConv { k, stride, c }),
-                _ => Err(arity_err(3)),
-            },
-            2 => match fields[..] {
-                [k, stride, c] => Ok(LayerKind::Pool {
-                    k,
-                    stride,
-                    c,
-                    pooling: PoolKind::restore(r)?,
-                }),
-                _ => Err(arity_err(3)),
-            },
-            3 => match fields[..] {
-                [cin, cout] => Ok(LayerKind::Linear { cin, cout }),
-                _ => Err(arity_err(2)),
-            },
-            4 => match fields[..] {
-                [c] => Ok(LayerKind::GlobalPool { c }),
-                _ => Err(arity_err(1)),
-            },
-            v => Err(PersistError::Malformed(format!("layer kind tag {v}"))),
-        }
-    }
-}
-
-impl Snapshot for LayerSpec {
-    fn snapshot(&self, w: &mut ByteWriter) {
-        w.put_str(&self.name);
-        self.kind.snapshot(w);
-        w.put_usizes(&[self.h_in, self.w_in, self.h_out, self.w_out]);
-    }
-
-    fn restore(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        let name = r.take_str()?;
-        let kind = LayerKind::restore(r)?;
-        let dims = r.take_usizes()?;
-        match dims[..] {
-            [h_in, w_in, h_out, w_out] => Ok(LayerSpec {
-                name,
-                kind,
-                h_in,
-                w_in,
-                h_out,
-                w_out,
-            }),
-            _ => Err(PersistError::Malformed(format!(
-                "layer spec dims: want 4, got {}",
-                dims.len()
-            ))),
-        }
     }
 }
 
@@ -243,28 +85,13 @@ mod tests {
     }
 
     #[test]
-    fn skeleton_and_hw_roundtrip() {
+    fn skeleton_roundtrips() {
         for sk in [
             NetworkSkeleton::tiny(),
             NetworkSkeleton::small(),
             NetworkSkeleton::paper_default(),
         ] {
             assert_eq!(roundtrip(&sk), sk);
-        }
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..20 {
-            let hw = HwConfig::random(&mut rng);
-            assert_eq!(roundtrip(&hw), hw);
-        }
-    }
-
-    #[test]
-    fn layer_specs_roundtrip() {
-        let plan = NetworkSkeleton::tiny().compile(&crate::genotype::Genotype::random(
-            &mut StdRng::seed_from_u64(6),
-        ));
-        for layer in &plan.layers {
-            assert_eq!(&roundtrip(layer), layer);
         }
     }
 }

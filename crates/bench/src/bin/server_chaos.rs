@@ -281,7 +281,7 @@ fn real_main(args: &Args) -> Result<(), Error> {
     let tenants = args.usize("--tenants", 4).max(1);
     let sessions = args.usize("--sessions", 2).max(1);
     let iterations = args.usize("--iterations", 14);
-    let kill_iterations = args.usize("--kill-iterations", 40);
+    let kill_iterations = args.usize("--kill-iterations", 200);
     let out = args
         .value("--out")
         .unwrap_or_else(|| "BENCH_server_chaos.json".into());
@@ -382,22 +382,48 @@ fn real_main(args: &Args) -> Result<(), Error> {
     let fleet_specs = drill_specs.clone();
     let fleet = std::thread::spawn(move || drive_fleet(addr, &fleet_specs));
 
-    // Kill once jobs are demonstrably mid-flight.
+    // Kill as soon as a drill job is running past its first checkpoint
+    // and short of its total, so the relaunch resumes it mid-run, or once
+    // every job has finished and none can be. RL checkpoints at the first
+    // controller update at or past the cadence, and on a fresh daemon the
+    // drill jobs' ids are 1..=tenants.
+    let first_checkpoint = {
+        let spec = &drill_specs[0].0;
+        let batch = spec.config.rollouts_per_update;
+        (spec.checkpoint_every.unwrap_or(0).div_ceil(batch) * batch) as u64
+    };
     let armed_at = Instant::now();
-    loop {
-        if armed_at.elapsed() > Duration::from_secs(30) {
-            break; // kill anyway; recovery handles any in-between state
+    let mut poller: Option<Client> = None;
+    while armed_at.elapsed() < Duration::from_secs(30) {
+        if poller.is_none() {
+            poller = Client::connect(addr).ok();
         }
-        if let Ok(mut c) = Client::connect(addr) {
-            if let Ok(s) = c.stats() {
-                if s.running > 0 {
-                    break;
+        if let Some(c) = poller.as_mut() {
+            let mut mid_run = false;
+            let mut finished = 0;
+            for id in 1..=tenants as u64 {
+                match c.status(id) {
+                    Ok(s) => {
+                        mid_run |= s.state == JobState::Running
+                            && s.iterations_done > first_checkpoint
+                            && s.iterations_done < s.iterations_total;
+                        if matches!(s.state, JobState::Completed | JobState::Failed) {
+                            finished += 1;
+                        }
+                    }
+                    Err(e) if e.code().is_some() => {} // not submitted yet
+                    Err(_) => {
+                        poller = None;
+                        break;
+                    }
                 }
             }
+            if mid_run || finished == tenants {
+                break;
+            }
         }
-        std::thread::sleep(Duration::from_millis(20));
+        std::thread::sleep(Duration::from_millis(1));
     }
-    std::thread::sleep(Duration::from_millis(500));
     drop(daemon); // SIGKILL, then reap
     println!("  daemon SIGKILLed mid-run; relaunching on {addr}");
 

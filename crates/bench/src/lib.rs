@@ -298,7 +298,7 @@ pub mod usage {
     /// `server_chaos`; it runs itself with `--serve` and the flags after
     /// it as its child daemon.
     pub const SERVER_CHAOS: &str = "server_chaos [--tenants 4] [--sessions 2] [--iterations 14] \
-        [--kill-iterations 40] [--out BENCH_server_chaos.json] [--threads 0] \
+        [--kill-iterations 200] [--out BENCH_server_chaos.json] [--threads 0] \
         [--serve] [--addr HOST:PORT] [--root DIR] [--max-jobs 4] [--chaos-plan FILE]";
     /// `table2_comparison`.
     pub const TABLE2_COMPARISON: &str = "table2_comparison [--iterations 600] [--topn 5] \

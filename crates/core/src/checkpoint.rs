@@ -5,10 +5,10 @@
 //! A checkpoint captures everything the search loop needs to continue
 //! bit-identically after a crash: the configuration (strategy, search
 //! parameters, reward), the full evaluated history, the session RNG
-//! stream, the controller (weights, Adam moments and baseline — RL
-//! only) and the global simulator cache. Files are written atomically
-//! via [`SnapshotBuilder::write_atomic`], so a crash mid-write leaves
-//! the previous checkpoint intact.
+//! stream and the controller (weights, Adam moments and baseline — RL
+//! only). Files are written atomically via
+//! [`SnapshotBuilder::write_atomic`], so a crash mid-write leaves the
+//! previous checkpoint intact.
 //!
 //! [`SearchSession`]: crate::session::SearchSession
 
@@ -254,9 +254,7 @@ impl Snapshot for RewardConfig {
 
 /// Everything a [`SearchSession`] needs to continue a run: strategy,
 /// configuration, reward, evaluated history, RNG stream and (for RL)
-/// the controller. The global simulator cache rides along as a warm-up
-/// section — its entries are pure functions of their keys, so importing
-/// them never changes observable values, only turns misses into hits.
+/// the controller.
 ///
 /// [`SearchSession`]: crate::session::SearchSession
 pub struct SessionCheckpoint {
@@ -345,7 +343,6 @@ impl CheckpointWriter<'_> {
         if let Some(ctrl) = self.controller {
             b.put("controller", ctrl);
         }
-        b.section("sim_cache", yoso_accel::cache::export);
         b.write_atomic(path)
     }
 }
@@ -372,8 +369,7 @@ impl SessionCheckpoint {
         .write_to(path)
     }
 
-    /// Reads a checkpoint back and imports its simulator-cache section
-    /// into the global cache.
+    /// Reads a checkpoint back.
     ///
     /// # Errors
     ///
@@ -421,9 +417,6 @@ impl SessionCheckpoint {
         } else {
             None
         };
-        if archive.has("sim_cache") {
-            yoso_accel::cache::import(&mut archive.section("sim_cache")?)?;
-        }
         Ok(SessionCheckpoint {
             strategy,
             evaluator,

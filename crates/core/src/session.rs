@@ -33,8 +33,8 @@
 //! and [`checkpoint_dir`](SearchSessionBuilder::checkpoint_dir) and the
 //! session writes an atomic snapshot (`ckpt_00000015.snap`, …) of its
 //! complete state — controller weights and Adam moments, RNG stream,
-//! evaluated history, simulator cache — every `n` iterations (for RL,
-//! at the next controller-update boundary). After a crash,
+//! evaluated history — every `n` iterations (for RL, at the next
+//! controller-update boundary). After a crash,
 //! [`SearchSession::resume_from`] rebuilds the session from the newest
 //! checkpoint and the continued run replays the remaining iterations
 //! **bit-identically** to the uninterrupted run:

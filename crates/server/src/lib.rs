@@ -304,7 +304,8 @@ impl ConnWriter {
 struct JobLog {
     job: u64,
     lines: Vec<String>,
-    subs: Vec<Arc<ConnWriter>>,
+    /// Live subscribers, each with the lowest `seq` it asked for.
+    subs: Vec<(Arc<ConnWriter>, u64)>,
     /// Pre-serialized `pareto_front` frame for a completed run, sent
     /// right before the `job_done` frame and replayed on `subscribe`.
     pareto: Option<String>,
@@ -324,15 +325,15 @@ impl JobLog {
             line: line.to_string(),
         }
         .to_json();
-        self.subs.retain(|s| s.alive.load(Ordering::Relaxed));
-        for sub in &self.subs {
+        self.subs.retain(|(s, _)| s.alive.load(Ordering::Relaxed));
+        for (sub, _) in self.subs.iter().filter(|(_, from)| seq >= *from) {
             sub.send(&frame);
         }
     }
 
     fn finish(&mut self, pareto: Option<String>, done: JobDone) {
         let frame = Reply::Done(done.clone()).to_json();
-        for sub in self.subs.drain(..) {
+        for (sub, _) in self.subs.drain(..) {
             if let Some(p) = &pareto {
                 sub.send(p);
             }
@@ -344,8 +345,8 @@ impl JobLog {
 
     /// Replays the log from event sequence `from` (0 = everything),
     /// then attaches for live events (or the terminal frames, for a
-    /// finished job). `from` past the end replays nothing old — the
-    /// idempotent-resume contract a reconnecting client relies on.
+    /// finished job). No event below `from` is sent, live or replayed —
+    /// the idempotent-resume contract a reconnecting client relies on.
     fn attach_from(&mut self, sub: Arc<ConnWriter>, from: u64) {
         for (seq, line) in self.lines.iter().enumerate().skip(from as usize) {
             let frame = Reply::Event {
@@ -362,7 +363,7 @@ impl JobLog {
             }
             sub.send(&Reply::Done(done.clone()).to_json());
         } else {
-            self.subs.push(sub);
+            self.subs.push((sub, from));
         }
     }
 }
@@ -482,6 +483,10 @@ fn checkpoint_iteration(path: &Path) -> Option<u64> {
 
 fn is_search_iter(line: &str) -> bool {
     line.starts_with("{\"event\":\"search_iter\"")
+}
+
+fn is_search_start(line: &str) -> bool {
+    line.starts_with("{\"event\":\"search_start\"")
 }
 
 /// The prefix of a journaled line log covered by a checkpoint at `k`
@@ -1198,7 +1203,7 @@ fn resume(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, id: u64, stream: bool)
         log.pareto = None;
         log.done = None;
         if stream {
-            log.subs.push(writer.clone());
+            log.subs.push((writer.clone(), 0));
         }
         drop(log);
         let reply = Reply::Status(job.status(id));
@@ -1377,11 +1382,22 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
     yoso_chaos::set_thread_scope(Some(yoso_chaos::scope_for(&spec.tenant)));
 
     let evaluator = shared.evaluator();
+    // A run that continues a logged prefix (crash recovery or resume)
+    // keeps that prefix's `search_start`: a second one would put every
+    // later line one seq past where the uninterrupted run put it.
+    let continues_log = !log
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .lines
+        .is_empty();
     let trace = {
         let log = log.clone();
         let iterations_done = iterations_done.clone();
         let shared = shared.clone();
         Trace::forward(move |line: &str| {
+            if continues_log && is_search_start(line) {
+                return;
+            }
             if is_search_iter(line) {
                 iterations_done.fetch_add(1, Ordering::Relaxed);
             }

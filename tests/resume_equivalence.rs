@@ -295,3 +295,128 @@ fn emergency_checkpoint_resume_matches_uninjected_tail() {
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// The checkpoint files of one seeded, checkpointed RL session, by name.
+fn checkpoint_files(
+    ev: &SurrogateEvaluator,
+    rc: RewardConfig,
+    tag: &str,
+) -> Vec<(String, Vec<u8>)> {
+    let dir = temp_dir(tag);
+    SearchSession::builder()
+        .evaluator(ev)
+        .reward(rc)
+        .config(
+            SearchConfig::builder()
+                .iterations(ITERATIONS)
+                .rollouts_per_update(5)
+                .seed(13)
+                .build(),
+        )
+        .strategy(Strategy::Rl)
+        .checkpoint_every(5)
+        .checkpoint_dir(&dir)
+        .run()
+        .unwrap();
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect();
+    files.sort();
+    std::fs::remove_dir_all(&dir).unwrap();
+    files
+}
+
+/// Checkpoint bytes depend on the session alone: searches run between
+/// two runs of one seeded session fill the process-wide simulator cache,
+/// and every checkpoint of the second run is byte-identical to the
+/// first's.
+#[test]
+fn checkpoint_bytes_depend_on_the_session_alone() {
+    let _g = yoso::chaos::test_lock();
+    yoso::chaos::disarm();
+    let (ev, rc) = setup();
+    let first = checkpoint_files(&ev, rc, "bytes-first");
+    let before = yoso::accel::cache::stats().entries;
+    for seed in 100..104 {
+        SearchSession::builder()
+            .evaluator(&ev)
+            .reward(rc)
+            .config(SearchConfig::builder().iterations(40).seed(seed).build())
+            .strategy(Strategy::Random)
+            .run()
+            .unwrap();
+    }
+    assert!(
+        yoso::accel::cache::stats().entries > before,
+        "the unrelated searches added no cache entries"
+    );
+    let second = checkpoint_files(&ev, rc, "bytes-second");
+    assert_eq!(first.len(), ITERATIONS / 5);
+    for ((name, a), (name2, b)) in first.iter().zip(&second) {
+        assert_eq!(name, name2);
+        assert!(a == b, "{name} differs between the two runs");
+    }
+}
+
+/// Checkpoints written by older versions carry a `sim_cache` section. A
+/// checkpoint with such a section (here junk) still resumes, and the
+/// resumed run replays the uninterrupted `search_iter` lines.
+#[test]
+fn checkpoint_with_a_sim_cache_section_still_resumes() {
+    let _g = yoso::chaos::test_lock();
+    yoso::chaos::disarm();
+    let (ev, rc) = setup();
+    let dir = temp_dir("sim-cache-section");
+    let full_trace = Trace::memory();
+    let full = SearchSession::builder()
+        .evaluator(&ev)
+        .reward(rc)
+        .config(
+            SearchConfig::builder()
+                .iterations(ITERATIONS)
+                .rollouts_per_update(5)
+                .seed(17)
+                .build(),
+        )
+        .strategy(Strategy::Rl)
+        .checkpoint_every(KILL_AT)
+        .checkpoint_dir(&dir)
+        .trace(full_trace.clone())
+        .run()
+        .unwrap();
+
+    let ckpt = dir.join(checkpoint_file_name(KILL_AT));
+    let archive = SnapshotArchive::read(&ckpt).unwrap();
+    let mut old = SnapshotBuilder::new(archive.kind());
+    for name in archive.section_names() {
+        let mut r = archive.section(name).unwrap();
+        let bytes: Vec<u8> = (0..r.remaining()).map(|_| r.take_u8().unwrap()).collect();
+        old.section(name, |w| bytes.iter().for_each(|&b| w.put_u8(b)));
+    }
+    old.section("sim_cache", |w| {
+        w.put_usize(3);
+        w.put_u64s(&[0xDEAD_BEEF; 5]);
+    });
+    old.write_atomic(&ckpt).unwrap();
+    assert!(SnapshotArchive::read(&ckpt).unwrap().has("sim_cache"));
+
+    let resumed_trace = Trace::memory();
+    let resumed = SearchSession::resume_from(&ckpt)
+        .unwrap()
+        .evaluator(&ev)
+        .trace(resumed_trace.clone())
+        .run()
+        .unwrap();
+    assert_eq!(resumed, full);
+    assert_eq!(
+        &search_iter_lines(&full_trace)[KILL_AT..],
+        &search_iter_lines(&resumed_trace)[..],
+        "resumed tail diverged"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}

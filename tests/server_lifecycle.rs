@@ -9,6 +9,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use yoso::core::checkpoint::checkpoint_file_name;
 use yoso::prelude::*;
 use yoso_server::proto::Request;
 
@@ -372,6 +373,63 @@ fn scoped_chaos_faults_one_tenant_and_spares_others() {
     yoso::chaos::disarm();
 }
 
+/// Fabricates a crashed daemon's disk state for a 24-iteration RL job
+/// `job` under `root`, as if the process died after streaming `crash_at`
+/// iterations: runs the job's spec in-process with its checkpoint dir
+/// (checkpoints every 6 iterations), keeps only the checkpoints written
+/// before the crash and journals the job's lines up to the crash point.
+/// Returns the uninterrupted run's lines and how many of them the
+/// journal holds.
+fn journal_crashed_job(
+    root: &std::path::Path,
+    journal: &mut Journal,
+    job: u64,
+    tenant: &str,
+    crash_at: usize,
+) -> (Vec<String>, usize) {
+    let mut spec = spec(tenant, 24, 1234);
+    spec.checkpoint_every = Some(6);
+    let job_dir = root.join(job.to_string());
+    std::fs::create_dir_all(&job_dir).unwrap();
+    let evaluator = SurrogateEvaluator::new(yoso::arch::NetworkSkeleton::tiny());
+    let trace = Trace::memory();
+    spec.apply(SearchSession::builder())
+        .evaluator(&evaluator)
+        .checkpoint_dir(job_dir.clone())
+        .trace(trace.clone())
+        .run()
+        .expect("seed run");
+    let all_lines = trace.lines();
+    for stale in (6..=24).step_by(6).filter(|&it| it > crash_at) {
+        std::fs::remove_file(job_dir.join(checkpoint_file_name(stale))).unwrap();
+    }
+    std::fs::write(job_dir.join("spec.json"), format!("{}\n", spec.to_json())).unwrap();
+    journal
+        .append(&Record::Admit {
+            job,
+            spec_json: spec.to_json(),
+        })
+        .unwrap();
+    let mut iters = 0;
+    let mut journaled = 0;
+    for line in &all_lines {
+        if line.starts_with("{\"event\":\"search_iter\"") {
+            iters += 1;
+        }
+        journal
+            .append(&Record::Line {
+                job,
+                line: line.clone(),
+            })
+            .unwrap();
+        journaled += 1;
+        if iters == crash_at {
+            break;
+        }
+    }
+    (all_lines, journaled)
+}
+
 /// Crash recovery, end to end: a journal describing a job interrupted
 /// mid-run (admitted, lines streamed, **no** terminal record — exactly
 /// what a SIGKILL leaves behind) is replayed at startup, the job
@@ -383,59 +441,15 @@ fn scoped_chaos_faults_one_tenant_and_spares_others() {
 fn journal_recovery_resumes_interrupted_jobs_byte_identically() {
     let _guard = serial();
     let root = temp_root("recover");
-    let mut spec = spec("phoenix", 24, 1234);
-    spec.checkpoint_every = Some(6);
     let job_id = 1u64;
-    let job_dir = root.join(job_id.to_string());
 
-    // Fabricate the crashed daemon's disk state by running the same
-    // seed in-process with the job's checkpoint dir, capturing the
-    // full line stream, then journaling only a prefix: everything up
-    // to two iterations past the 12-iteration checkpoint, as if the
-    // process died there.
-    std::fs::create_dir_all(&job_dir).unwrap();
-    let evaluator = SurrogateEvaluator::new(yoso::arch::NetworkSkeleton::tiny());
-    let trace = Trace::memory();
-    spec.apply(SearchSession::builder())
-        .evaluator(&evaluator)
-        .checkpoint_dir(job_dir.clone())
-        .trace(trace.clone())
-        .run()
-        .expect("seed run");
-    let all_lines = trace.lines();
-    let full_stream = search_iter_lines(&all_lines);
-    assert_eq!(full_stream.len(), 24);
-
-    // Keep only the newest pre-crash checkpoint (iteration 12) plus an
-    // older one, mimicking the cadence's retention.
-    for stale in ["ckpt_00000018.snap", "ckpt_00000024.snap"] {
-        let _ = std::fs::remove_file(job_dir.join(stale));
-    }
-    std::fs::write(job_dir.join("spec.json"), format!("{}\n", spec.to_json())).unwrap();
     let mut journal = Journal::open(&root, 0).unwrap();
-    journal
-        .append(&Record::Admit {
-            job: job_id,
-            spec_json: spec.to_json(),
-        })
-        .unwrap();
-    let mut iters = 0;
-    for line in &all_lines {
-        if line.starts_with("{\"event\":\"search_iter\"") {
-            iters += 1;
-        }
-        journal
-            .append(&Record::Line {
-                job: job_id,
-                line: line.clone(),
-            })
-            .unwrap();
-        if iters == 14 {
-            break; // crash point: two iterations past the checkpoint
-        }
-    }
+    // Crash two iterations past the 12-iteration checkpoint.
+    let (all_lines, _) = journal_crashed_job(&root, &mut journal, job_id, "phoenix", 14);
     journal.sync().unwrap();
     drop(journal);
+    let full_stream = search_iter_lines(&all_lines);
+    assert_eq!(full_stream.len(), 24);
 
     // Restart: recovery must re-admit the job, auto-resume it from the
     // iteration-12 checkpoint, and re-emit iterations 13.. exactly.
@@ -473,6 +487,116 @@ fn journal_recovery_resumes_interrupted_jobs_byte_identically() {
     assert_eq!(done2.state, JobState::Completed);
     assert_eq!(search_iter_lines(&replayed), full_stream);
     server2.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A recovered job's log continues with the uninterrupted run's seq
+/// numbering, whether it resumes from a checkpoint (job 1) or restarts
+/// because it crashed before its first one (job 2). A client that saw
+/// the journaled lines before the crash resubscribes from their count
+/// and, keeping each seq once as `ResilientClient` does, collects every
+/// iteration exactly once.
+#[test]
+fn recovered_job_keeps_the_uninterrupted_seq_numbering() {
+    let _guard = serial();
+    let root = temp_root("watermark");
+    let mut journal = Journal::open(&root, 0).unwrap();
+    let crashed = [
+        journal_crashed_job(&root, &mut journal, 1, "watermark", 14),
+        journal_crashed_job(&root, &mut journal, 2, "watermark", 2),
+    ];
+    journal.sync().unwrap();
+    drop(journal);
+
+    let server = Server::start(ServerConfig {
+        checkpoint_root: Some(root.clone()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    for (job, (all_lines, journaled)) in (1..).zip(crashed) {
+        let mut client = Client::connect(server.addr()).unwrap();
+        client.subscribe_from(job, journaled as u64).unwrap();
+        // The watermark rule: accept the event at `next`, drop replays below.
+        let mut collected = all_lines[..journaled].to_vec();
+        let mut next = journaled as u64;
+        loop {
+            match client.next_event().unwrap() {
+                Reply::Event { seq, line, .. } => {
+                    if seq < next {
+                        continue;
+                    }
+                    assert_eq!(seq, next, "job {job}: event gap");
+                    collected.push(line);
+                    next += 1;
+                }
+                Reply::Done(done) => {
+                    assert_eq!(done.state, JobState::Completed);
+                    break;
+                }
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        assert_eq!(
+            search_iter_lines(&collected),
+            search_iter_lines(&all_lines),
+            "job {job}: resubscribing at the watermark lost or duplicated iterations"
+        );
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A plain subscriber that asks for events from `from` before the job's
+/// log reaches `from` gets its first event at exactly `from`.
+#[test]
+fn subscribe_from_ahead_of_the_log_starts_at_from() {
+    let _guard = serial();
+    let root = temp_root("floor");
+    let mut journal = Journal::open(&root, 0).unwrap();
+    // Job 1 holds the only runner, so the recovered job 2 is still
+    // queued, its log short of `from`, when the client subscribes.
+    journal
+        .append(&Record::Admit {
+            job: 1,
+            spec_json: spec("blocker", 100_000, 5).to_json(),
+        })
+        .unwrap();
+    let (all_lines, from) = journal_crashed_job(&root, &mut journal, 2, "floor", 14);
+    journal.sync().unwrap();
+    drop(journal);
+
+    let server = Server::start(ServerConfig {
+        checkpoint_root: Some(root.clone()),
+        max_concurrent_jobs: 1,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.subscribe_from(2, from as u64).unwrap();
+    client.suspend(1).unwrap();
+    let mut seqs = Vec::new();
+    let mut lines = Vec::new();
+    loop {
+        match client.next_event().unwrap() {
+            Reply::Event { seq, line, .. } => {
+                seqs.push(seq);
+                lines.push(line);
+            }
+            Reply::Done(done) => {
+                assert_eq!(done.state, JobState::Completed);
+                break;
+            }
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+    assert_eq!(seqs.first(), Some(&(from as u64)), "first event seq");
+    assert!(seqs.windows(2).all(|w| w[1] == w[0] + 1), "seqs {seqs:?}");
+    assert_eq!(
+        search_iter_lines(&lines),
+        search_iter_lines(&all_lines)[14..],
+        "the stream from `from` diverged from the uninterrupted run"
+    );
+    server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }
 

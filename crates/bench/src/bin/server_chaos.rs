@@ -32,6 +32,7 @@ use std::time::{Duration, Instant};
 use yoso_bench::{bench_meta_json, run_main, usage, Args, TempDir};
 use yoso_chaos::{FaultKind, FaultPlan, FaultRule};
 use yoso_client::{Client, ResilientClient, RetryPolicy};
+use yoso_core::checkpoint::latest_checkpoint;
 use yoso_core::error::Error;
 use yoso_core::evaluation::{calibrate_constraints, SurrogateEvaluator};
 use yoso_core::reward::RewardConfig;
@@ -382,16 +383,10 @@ fn real_main(args: &Args) -> Result<(), Error> {
     let fleet_specs = drill_specs.clone();
     let fleet = std::thread::spawn(move || drive_fleet(addr, &fleet_specs));
 
-    // Kill as soon as a drill job is running past its first checkpoint
-    // and short of its total, so the relaunch resumes it mid-run, or once
-    // every job has finished and none can be. RL checkpoints at the first
-    // controller update at or past the cadence, and on a fresh daemon the
+    // Kill as soon as a drill job has a checkpoint on disk and is still
+    // running short of its total, so the relaunch resumes it mid-run, or
+    // once every job has finished and none can be. On a fresh daemon the
     // drill jobs' ids are 1..=tenants.
-    let first_checkpoint = {
-        let spec = &drill_specs[0].0;
-        let batch = spec.config.rollouts_per_update;
-        (spec.checkpoint_every.unwrap_or(0).div_ceil(batch) * batch) as u64
-    };
     let armed_at = Instant::now();
     let mut poller: Option<Client> = None;
     while armed_at.elapsed() < Duration::from_secs(30) {
@@ -402,10 +397,14 @@ fn real_main(args: &Args) -> Result<(), Error> {
             let mut mid_run = false;
             let mut finished = 0;
             for id in 1..=tenants as u64 {
+                // Read the directory first: a checkpoint, once written,
+                // stays, so a later `running` status is past it.
+                let checkpointed =
+                    latest_checkpoint(root.join(id.to_string())).is_ok_and(|c| c.is_some());
                 match c.status(id) {
                     Ok(s) => {
-                        mid_run |= s.state == JobState::Running
-                            && s.iterations_done > first_checkpoint
+                        mid_run |= checkpointed
+                            && s.state == JobState::Running
                             && s.iterations_done < s.iterations_total;
                         if matches!(s.state, JobState::Completed | JobState::Failed) {
                             finished += 1;
@@ -422,7 +421,7 @@ fn real_main(args: &Args) -> Result<(), Error> {
                 break;
             }
         }
-        std::thread::sleep(Duration::from_millis(1));
+        std::thread::sleep(Duration::from_millis(20));
     }
     drop(daemon); // SIGKILL, then reap
     println!("  daemon SIGKILLed mid-run; relaunching on {addr}");

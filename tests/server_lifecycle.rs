@@ -546,6 +546,56 @@ fn recovered_job_keeps_the_uninterrupted_seq_numbering() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A job suspended on a daemon with no checkpoint root has nothing to
+/// continue from, so `resume` reruns it from iteration 0. The rerun is
+/// a new run in the job's log and opens with its own `search_start`.
+#[test]
+fn resume_without_a_checkpoint_reruns_under_its_own_search_start() {
+    let _guard = serial();
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let is_iter = |line: &str| line.starts_with("{\"event\":\"search_iter\"");
+    let next_line = |client: &mut Client| match client.next_event().unwrap() {
+        Reply::Event { line, .. } => line,
+        other => panic!("unexpected frame {other:?}"),
+    };
+
+    let job = client.submit(&spec("rerun", 100_000, 17), true).unwrap();
+    let first_iter = std::iter::repeat_with(|| next_line(&mut client))
+        .find(|l| is_iter(l))
+        .unwrap();
+    client.suspend(job).unwrap();
+    let (_, done) = client.wait_done(job).unwrap();
+    assert_eq!(done.state, JobState::Suspended);
+    assert!(client.status(job).unwrap().checkpoint.is_none());
+
+    client.resume(job, true).unwrap();
+    let opening = next_line(&mut client);
+    assert!(
+        opening.starts_with("{\"event\":\"search_start\"") && !opening.contains("resume_iteration"),
+        "the rerun's stream opened with {opening}"
+    );
+    let rerun_iter = std::iter::repeat_with(|| next_line(&mut client))
+        .find(|l| is_iter(l))
+        .unwrap();
+    assert_eq!(
+        rerun_iter, first_iter,
+        "the rerun starts over from iteration 0"
+    );
+    client.suspend(job).unwrap();
+    client.wait_done(job).unwrap();
+
+    let mut late = Client::connect(server.addr()).unwrap();
+    late.subscribe(job).unwrap();
+    let (log, _) = late.wait_done(job).unwrap();
+    let starts = log
+        .iter()
+        .filter(|l| l.starts_with("{\"event\":\"search_start\""))
+        .count();
+    assert_eq!(starts, 2, "each run in the log opens with a search_start");
+    server.shutdown();
+}
+
 /// A plain subscriber that asks for events from `from` before the job's
 /// log reaches `from` gets its first event at exactly `from`.
 #[test]

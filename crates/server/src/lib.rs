@@ -1385,9 +1385,10 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
     // A run that continues its log's prefix keeps that prefix's
     // `search_start`: a second one would put every later line one seq
     // past where the uninterrupted run put it. It continues the prefix
-    // when it resumes from a checkpoint (the log is cut back to it) or
-    // when the prefix logged no iteration yet; a rerun after logged
-    // iterations (a suspend that wrote no checkpoint) is a new run.
+    // when it resumes from a checkpoint (the log ends at that
+    // checkpoint's iteration) or when the prefix logged no iteration
+    // yet; a rerun after logged iterations (a suspend that wrote no
+    // checkpoint) is a new run.
     let continues_log = {
         let lines = &log.lock().unwrap_or_else(|e| e.into_inner()).lines;
         !lines.is_empty() && (checkpoint.is_some() || !lines.iter().any(|l| is_search_iter(l)))
